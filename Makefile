@@ -1,6 +1,6 @@
 # Convenience targets mirroring what CI runs (.github/workflows/ci.yml).
 
-.PHONY: all build test bench bench-smoke campaign-smoke fuzz-smoke store-smoke sketch-smoke serve-smoke query-smoke vdiff-smoke frontend-smoke fmt clean
+.PHONY: all build test bench bench-smoke perfbench-smoke campaign-smoke fuzz-smoke store-smoke sketch-smoke serve-smoke query-smoke vdiff-smoke frontend-smoke fmt clean
 
 all: build
 
@@ -17,6 +17,12 @@ bench:
 # the CI smoke pass: quick engine/memo benches + a parseable artifact
 bench-smoke:
 	dune build @bench-smoke
+
+# the benchmark's correctness oracles on one short lulesh-cold run (see
+# perfbench/README.md): fails only when an answer is wrong, since it
+# sets no timing bound
+perfbench-smoke:
+	bash perfbench/run.sh --workload lulesh-cold --seed 1 --seconds 5 --trace 0
 
 # the campaign smoke pass: a 2-fault x 3-seed selftest matrix (one
 # deadlocking fault, one crashing fault) must complete every cell,

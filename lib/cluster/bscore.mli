@@ -17,7 +17,10 @@ val bk : Linkage.t -> Linkage.t -> k:int -> float
     given as leaf→cluster arrays of equal length. *)
 val bk_of_assignments : int array -> int array -> float
 
-(** [score a b] — mean B_k over k = 2 .. n−1 (1.0 when n < 3). *)
+(** [score a b] — mean B_k over k = 2 .. n−1 (1.0 when n < 3), summed
+    in increasing k. O(n²): every cut comes from one union-find replayed
+    over the merge sequence, and each B_k from an O(n) count of leaf
+    pairs. *)
 val score : Linkage.t -> Linkage.t -> float
 
 (** [series a b] — [(k, B_k)] for k = 2 .. n−1. *)

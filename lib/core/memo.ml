@@ -27,15 +27,25 @@ let create () =
 let symtab t = t.symtab
 let loop_table t = t.loop_table
 
+(* [add_int buf n] appends the bytes of [string_of_int n] without
+   building that string: the key's digest must not change, because
+   persisted store entries are filed under it. *)
+let rec add_digits buf n =
+  if n >= 10 then add_digits buf (n / 10);
+  Buffer.add_char buf (Char.chr (Char.code '0' + (n mod 10)))
+
+let add_int buf n =
+  if n >= 0 then add_digits buf n else Buffer.add_string buf (string_of_int n)
+
 let key ~ids ~k ~repeats =
   let buf = Buffer.create ((4 * Array.length ids) + 16) in
-  Buffer.add_string buf (string_of_int k);
+  add_int buf k;
   Buffer.add_char buf ';';
-  Buffer.add_string buf (string_of_int repeats);
+  add_int buf repeats;
   Array.iter
     (fun id ->
       Buffer.add_char buf ';';
-      Buffer.add_string buf (string_of_int id))
+      add_int buf id)
     ids;
   Digest.string (Buffer.contents buf)
 

@@ -31,13 +31,29 @@ let lookup_error_to_string e =
   Printf.sprintf "unknown trace label %S (known labels: %s)" e.unknown
     (String.concat ", " (Array.to_list e.known))
 
-(* Re-intern a trace's call IDs into the shared symbol table so that
+(* Re-intern the traces' call IDs into the shared symbol table so that
    the normal and faulty runs (separate captures) agree on IDs — a
-   precondition for sharing the loop table across the two runs. *)
-let remap_calls ~shared ~own (tr : Trace.t) =
+   precondition for sharing the loop table across the two runs. Each
+   distinct own ID is interned once, on its first occurrence, which is
+   the order a per-event intern would assign shared IDs in. *)
+let remap_calls ~shared ~own traces =
+  let map = Array.make (Symtab.size own) (-1) in
   Array.map
-    (fun id -> Symtab.intern shared (Symtab.name own id))
-    (Trace.call_ids tr)
+    (fun tr ->
+      let ids = Trace.call_ids tr in
+      Array.iteri
+        (fun i id ->
+          let s = if id >= 0 && id < Array.length map then map.(id) else -1 in
+          if s >= 0 then ids.(i) <- s
+          else begin
+            (* an ID unknown to [own] raises here, as a per-event intern would *)
+            let s = Symtab.intern shared (Symtab.name own id) in
+            map.(id) <- s;
+            ids.(i) <- s
+          end)
+        ids;
+      ids)
+    traces
 
 (* Summarize every trace, in three stages:
    1. probe the memo cache (sequential);
@@ -116,7 +132,7 @@ let analyze ?symtab ?loop_table ?memo ?store (config : Config.t) ts =
      matching the paper's tables *)
   let short = Array.for_all (fun tr -> tr.Trace.tid = 0) traces in
   let labels = Array.map (fun tr -> Trace.label ~short tr) traces in
-  let idss = Array.map (fun tr -> remap_calls ~shared ~own tr) traces in
+  let idss = remap_calls ~shared ~own traces in
   let summaries =
     summarize ~engine ~memo ~table ~k:config.Config.k
       ~repeats:config.Config.repeats idss

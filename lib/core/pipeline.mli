@@ -50,6 +50,16 @@ val analyze :
   Difftrace_trace.Trace_set.t ->
   analysis
 
+(** [remap_calls ~shared ~own traces] — each trace's call-ID sequence,
+    re-expressed in [shared]: an ID of [own] (the traces' symbol table)
+    becomes the shared ID of the same name, interned into [shared] on
+    the ID's first occurrence in trace order. *)
+val remap_calls :
+  shared:Difftrace_trace.Symtab.t ->
+  own:Difftrace_trace.Symtab.t ->
+  Difftrace_trace.Trace.t array ->
+  int array array
+
 (** [find_nlr analysis label] — that trace's summary and truncation
     flag, or a {!lookup_error} listing the known labels. *)
 val find_nlr :

@@ -2,7 +2,13 @@ open Difftrace_util
 
 type elem = Sym of int | Loop of { body : int; count : int }
 
-let elem_equal (a : elem) (b : elem) = a = b
+(* Monomorphic: this is the kernel's innermost test, and polymorphic
+   [=] would call into the runtime's generic comparison. *)
+let elem_equal (a : elem) (b : elem) =
+  match a, b with
+  | Sym x, Sym y -> x = y
+  | Loop a, Loop b -> a.body = b.body && a.count = b.count
+  | Sym _, Loop _ | Loop _, Sym _ -> false
 
 module Loop_table = struct
   (* Bodies are elem arrays; [by_body] interns them structurally so the
@@ -31,69 +37,90 @@ end
 
 type t = { elems : elem array; input_length : int }
 
-(* One reduction step over the top of the stack; returns true if the
-   stack changed. Two rules, from Procedure 1:
+(* The reduction stack is [stack.(0 .. len-1)], top last. *)
+
+(* [body_matches bd stack top i] — [bd.(i ..)] equals [stack.(top + i ..)]. *)
+let rec body_matches bd stack top i =
+  i = Array.length bd
+  || (elem_equal bd.(i) stack.(top + i) && body_matches bd stack top (i + 1))
+
+(* [windows_equal stack x y b] — the length-[b] windows at [x] and [y]
+   are equal, compared from the left up to the first mismatch. *)
+let rec windows_equal stack x y b =
+  b = 0
+  || (elem_equal stack.(x) stack.(y) && windows_equal stack (x + 1) (y + 1) (b - 1))
+
+(* [repeated stack top b w] — windows [1 .. w] below the top window
+   (which starts at [top]) all equal it. *)
+let rec repeated stack top b w =
+  w = 0
+  || (windows_equal stack top (top - (w * b)) b && repeated stack top b (w - 1))
+
+(* One reduction step over the top of the stack, trying window lengths
+   [b .. k]; returns the new stack length, which is [len] exactly when
+   no rule fired (both rules shrink the stack). The two rules, from
+   Procedure 1, are tried in this order for each b:
    - extension: a loop sits at depth b+1 and the top b elements are
      isomorphic to its body -> absorb them, incrementing the count;
    - creation: the top [repeats] windows of length b are pairwise
      isomorphic -> replace them by a fresh loop element. *)
-let reduce_step ~table ~k ~repeats stack =
-  let len = Vec.length stack in
-  let exception Changed in
-  try
-    for b = 1 to k do
-      (* extension *)
-      (if len >= b + 1 then
-         match Vec.peek stack b with
-         | Loop { body; count } ->
-           let bd = Loop_table.body table body in
-           if
-             Array.length bd = b
-             && (let ok = ref true in
-                 for i = 0 to b - 1 do
-                   if not (elem_equal bd.(i) (Vec.peek stack (b - 1 - i))) then
-                     ok := false
-                 done;
-                 !ok)
-           then begin
-             Vec.truncate stack (len - b - 1);
-             Vec.push stack (Loop { body; count = count + 1 });
-             raise Changed
-           end
-         | Sym _ -> ());
-      (* creation *)
-      if len >= repeats * b then begin
-        let window w i = Vec.get stack (len - ((w + 1) * b) + i) in
-        let all_equal = ref true in
-        for w = 1 to repeats - 1 do
-          for i = 0 to b - 1 do
-            if not (elem_equal (window 0 i) (window w i)) then all_equal := false
-          done
-        done;
-        if !all_equal then begin
-          let body = Array.init b (fun i -> window 0 i) in
-          let id = Loop_table.intern table body in
-          Vec.truncate stack (len - (repeats * b));
-          Vec.push stack (Loop { body = id; count = repeats });
-          raise Changed
+let rec reduce_step table k repeats stack len b =
+  if b > k then len
+  else
+    let extended =
+      len > b
+      &&
+      match stack.(len - 1 - b) with
+      | Loop { body; count } ->
+        let bd = Loop_table.body table body in
+        Array.length bd = b
+        && body_matches bd stack (len - b) 0
+        && begin
+          stack.(len - 1 - b) <- Loop { body; count = count + 1 };
+          true
         end
-      end
-    done;
-    false
-  with Changed -> true
+      | Sym _ -> false
+    in
+    if extended then len - b
+    else if len >= repeats * b && repeated stack (len - b) b (repeats - 1) then begin
+      let id = Loop_table.intern table (Array.sub stack (len - b) b) in
+      let base = len - (repeats * b) in
+      stack.(base) <- Loop { body = id; count = repeats };
+      base + 1
+    end
+    else reduce_step table k repeats stack len (b + 1)
+
+let rec reduce table k repeats stack len =
+  let len' = reduce_step table k repeats stack len 1 in
+  if len' = len then len else reduce table k repeats stack len'
+
+(* One reduction stack per domain, reused across calls: it is as long
+   as the longest input so far, and allocating it afresh for every
+   trace churns the major heap. *)
+let stack_key = Domain.DLS.new_key (fun () -> [||])
 
 let of_ids ~table ?(k = 10) ?(repeats = 2) ids =
   if k < 1 then invalid_arg "Nlr.of_ids: k must be >= 1";
   if repeats < 2 then invalid_arg "Nlr.of_ids: repeats must be >= 2";
-  let stack = Vec.with_capacity (Array.length ids) in
-  Array.iter
-    (fun id ->
-      Vec.push stack (Sym id);
-      while reduce_step ~table ~k ~repeats stack do
-        ()
-      done)
-    ids;
-  { elems = Vec.to_array stack; input_length = Array.length ids }
+  let n = Array.length ids in
+  let stack =
+    let s = Domain.DLS.get stack_key in
+    if Array.length s >= n then s
+    else begin
+      let s = Array.make (max n (2 * Array.length s)) (Sym 0) in
+      Domain.DLS.set stack_key s;
+      s
+    end
+  in
+  let len = ref 0 in
+  for i = 0 to n - 1 do
+    stack.(!len) <- Sym ids.(i);
+    len := reduce table k repeats stack (!len + 1)
+  done;
+  let elems = Array.sub stack 0 !len in
+  (* drop the stale elements, so the idle stack keeps nothing alive *)
+  Array.fill stack 0 n (Sym 0);
+  { elems; input_length = n }
 
 let length t = Array.length t.elems
 

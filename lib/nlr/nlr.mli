@@ -12,7 +12,13 @@
     on. The representation is lossless: {!expand} returns the exact
     input sequence.
 
-    Complexity is [Θ(k² n)] for input length [n], as in the paper. *)
+    Complexity is [Θ(k² n)] for input length [n], as in the paper.
+    The kernel works on a plain element array reused across calls on
+    the same domain, compares elements with {!elem_equal} and stops a
+    window comparison at its first mismatch. Apart from the input's
+    [Sym] cells and the returned summary, it allocates only when a
+    loop is created (the body and its table entry) or extended (the
+    new loop element). *)
 
 (** A summarized trace element. *)
 type elem =
@@ -21,6 +27,8 @@ type elem =
       (** [count] consecutive repetitions of loop body [body] (an index
           into the execution's loop table) *)
 
+(** [elem_equal a b] — structural equality, without polymorphic
+    comparison: the kernel's innermost test. *)
 val elem_equal : elem -> elem -> bool
 
 (** The execution-wide table of distinct loop bodies. *)

@@ -1,8 +1,8 @@
 (** Growable arrays ("vectors").
 
-    The NLR reduction stack and the trace encoders are hot paths built on
-    this structure; it provides amortized O(1) push/pop and O(1) random
-    access without the boxing overhead of lists. *)
+    The trace encoders are hot paths built on this structure; it
+    provides amortized O(1) push/pop and O(1) random access without the
+    boxing overhead of lists. *)
 
 type 'a t
 

@@ -235,6 +235,43 @@ let prop_bscore_bounds =
       let s = Bscore.score t1 t2 in
       s >= -1e-9 && s <= 1.0 +. 1e-9 && Bscore.score t1 t1 = 1.0)
 
+(* the sparse contingency count against the dense reference: exact
+   float equality, no tolerance *)
+
+let assignments_gen =
+  QCheck2.Gen.(
+    let* n = int_range 1 200 in
+    let labels = let* k = int_range 1 n in list_repeat n (int_range 0 (k - 1)) in
+    pair (map Array.of_list labels) (map Array.of_list labels))
+
+let prop_bk_matches_dense =
+  qtest "bk_of_assignments = dense reference, bit for bit" ~count:500
+    assignments_gen (fun (x, y) ->
+      Bscore.bk_of_assignments x y = Oracles.Bscore.bk_of_assignments x y)
+
+(* two distance matrices over the same n points in the plane *)
+let points_dist_gen =
+  QCheck2.Gen.(
+    let* n = int_range 2 40 in
+    let matrix =
+      let* pts = list_repeat n (pair (float_bound_inclusive 10.0) (float_bound_inclusive 10.0)) in
+      let p = Array.of_list pts in
+      return
+        (Array.init n (fun i ->
+             Array.init n (fun j ->
+                 let (xi, yi), (xj, yj) = (p.(i), p.(j)) in
+                 Float.hypot (xi -. xj) (yi -. yj))))
+    in
+    pair matrix matrix)
+
+let prop_score_matches_dense =
+  qtest "score = dense reference score, bit for bit" ~count:200
+    QCheck2.Gen.(pair points_dist_gen (oneofl Linkage.all_methods))
+    (fun ((m1, m2), meth) ->
+      let t1 = Linkage.cluster meth m1 and t2 = Linkage.cluster meth m2 in
+      Bscore.score t1 t2 = Oracles.Bscore.score t1 t2
+      && Bscore.series t1 t2 = Oracles.Bscore.series t1 t2)
+
 (* ------------------------------------------------------------------ *)
 (* JSM                                                                 *)
 (* ------------------------------------------------------------------ *)
@@ -360,7 +397,9 @@ let () =
           Alcotest.test_case "score differs" `Quick test_score_differs;
           Alcotest.test_case "series range" `Quick test_series_range;
           Alcotest.test_case "mismatch rejected" `Quick test_bk_mismatch;
-          prop_bscore_bounds ] );
+          prop_bscore_bounds;
+          prop_bk_matches_dense;
+          prop_score_matches_dense ] );
       ( "jsm",
         [ Alcotest.test_case "of_context" `Quick test_jsm_of_context;
           Alcotest.test_case "diff aligns labels" `Quick test_jsm_diff_aligns_labels;

@@ -175,6 +175,91 @@ let test_parallel_identical_analysis () =
     (Difftrace_nlr.Nlr.Loop_table.size a_p.Pipeline.loop_table)
 
 (* ------------------------------------------------------------------ *)
+(* Hot paths against their reference implementations, per engine       *)
+(* ------------------------------------------------------------------ *)
+
+module Nlr = Difftrace_nlr.Nlr
+module Jsm = Difftrace_cluster.Jsm
+module Symtab = Difftrace_trace.Symtab
+module Trace_set = Difftrace_trace.Trace_set
+module Lulesh = Difftrace_workloads.Lulesh
+
+let lulesh fault =
+  lazy
+    (Lulesh.run ~np:4 ~level:Difftrace_parlot.Tracer.All_images ~fault ())
+      .R.traces
+
+let lulesh_normal = lulesh Fault.No_fault
+
+let lulesh_skip =
+  lulesh (Fault.Skip_function { rank = 2; func = "LagrangeLeapFrog" })
+
+(* Replays a comparison through the reference remap, NLR kernel,
+   memo key and B-score, and checks that every result is identical:
+   the shared symbol table, each summary with the shared loop table,
+   the memo's key set and the B-score. *)
+let check_against_oracles name config ~normal ~faulty =
+  let memo = Memo.create () in
+  let c = Pipeline.compare_runs ~memo config ~normal ~faulty in
+  let k = config.Config.k and repeats = config.Config.repeats in
+  let symtab = Symtab.create () and table = Nlr.Loop_table.create () in
+  let keys = ref [] in
+  let replay ts (a : Pipeline.analysis) =
+    let filtered = F.apply_set config.Config.filter ts in
+    let own = Trace_set.symtab filtered in
+    Array.iteri
+      (fun i tr ->
+        let ids = Oracles.remap_calls ~shared:symtab ~own tr in
+        let key = Oracles.memo_key ~ids ~k ~repeats in
+        let local = Nlr.Loop_table.create () in
+        let nlr =
+          Nlr.reintern ~from:local ~into:table
+            (Oracles.Nlr.of_ids ~table:local ~k ~repeats ids)
+        in
+        (* identical traces share one memo entry *)
+        if not (List.mem key !keys) then keys := key :: !keys;
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: summary of %s" name a.Pipeline.labels.(i))
+          true
+          (fst a.Pipeline.nlrs.(i) = nlr))
+      (Trace_set.traces filtered)
+  in
+  replay normal c.Pipeline.normal;
+  replay faulty c.Pipeline.faulty;
+  Alcotest.(check (array string))
+    (name ^ ": shared symbol table") (Symtab.names symtab)
+    (Symtab.names (Memo.symtab memo));
+  let bodies t =
+    Array.init (Nlr.Loop_table.size t) (Nlr.Loop_table.body t)
+  in
+  Alcotest.(check bool)
+    (name ^ ": shared loop table") true
+    (bodies table = bodies (Memo.loop_table memo));
+  Alcotest.(check (list string))
+    (name ^ ": memo keys")
+    (List.sort compare !keys)
+    (List.sort compare (Memo.fold memo ~init:[] ~f:(fun key _ acc -> key :: acc)));
+  let jn, jf = Jsm.align c.Pipeline.normal.Pipeline.jsm c.Pipeline.faulty.Pipeline.jsm in
+  let cluster j =
+    Linkage.cluster config.Config.linkage (Jsm.rows (Jsm.to_distance j))
+  in
+  Alcotest.(check bool)
+    (name ^ ": B-score bit-identical to the dense reference") true
+    (c.Pipeline.bscore = Oracles.Bscore.score (cluster jn) (cluster jf))
+
+let test_oracles_per_engine () =
+  List.iter
+    (fun engine ->
+      let with_engine = Config.with_engine engine in
+      let tag = Engine.to_string engine in
+      check_against_oracles ("oddeven16/" ^ tag) (with_engine Config.default)
+        ~normal:(Lazy.force oe16_normal) ~faulty:(Lazy.force oe16_swap);
+      check_against_oracles ("lulesh4/" ^ tag)
+        (with_engine (Config.with_filter (F.of_spec "11.all") Config.default))
+        ~normal:(Lazy.force lulesh_normal) ~faulty:(Lazy.force lulesh_skip))
+    [ Engine.Sequential; Engine.parallel ~domains:2 () ]
+
+(* ------------------------------------------------------------------ *)
 (* Memo cache: hits on the autotune grid, never a different answer     *)
 (* ------------------------------------------------------------------ *)
 
@@ -269,6 +354,23 @@ let test_hit_rate_degenerate () =
   Alcotest.(check (float 1e-9)) "all hits" 1.0
     (Memo.hit_rate { Memo.hits = 5; misses = 0 })
 
+(* the digit writer must hash the very bytes [string_of_int] spelled,
+   since persisted store entries are filed under these keys *)
+let prop_memo_key_digest =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:500 ~name:"Memo.key digest unchanged"
+       QCheck2.Gen.(
+         triple
+           (array_size (int_range 0 50)
+              (oneof [ return 0; int_range 0 20; int_range 0 max_int; return max_int ]))
+           (int_range 1 100) (int_range 2 9))
+       (fun (ids, k, repeats) ->
+         let m = Memo.create () in
+         let nlr = Nlr.of_ids ~table:(Memo.loop_table m) ids in
+         Memo.add m (Memo.key ~ids ~k ~repeats) nlr;
+         Memo.fold m ~init:[] ~f:(fun key _ acc -> key :: acc)
+         = [ Oracles.memo_key ~ids ~k ~repeats ]))
+
 let () =
   Alcotest.run "engine"
     [ ( "engine",
@@ -286,6 +388,9 @@ let () =
             test_parallel_identical_ilcs;
           Alcotest.test_case "analysis internals identical" `Quick
             test_parallel_identical_analysis ] );
+      ( "oracles",
+        [ Alcotest.test_case "NLR, remap, memo key and B-score" `Quick
+            test_oracles_per_engine ] );
       ( "memo",
         [ Alcotest.test_case "autotune hit rate > 50%" `Quick
             test_autotune_cache_hit_rate;
@@ -296,4 +401,5 @@ let () =
           Alcotest.test_case "memo + explicit tables rejected" `Quick
             test_memo_rejects_conflicting_tables;
           Alcotest.test_case "hit rate degenerate cases" `Quick
-            test_hit_rate_degenerate ] ) ]
+            test_hit_rate_degenerate;
+          prop_memo_key_digest ] ) ]

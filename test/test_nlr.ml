@@ -168,6 +168,73 @@ let prop_shared_table_lossless =
       let nb = Nlr.of_ids ~table ~k:6 b in
       Nlr.expand ~table na = a && Nlr.expand ~table nb = b)
 
+(* --- the monomorphic kernel against the reference implementation --- *)
+
+(* Small-alphabet sequences built from nested repeated blocks, so that
+   loops form, extend and nest; stray symbols break some repetitions. *)
+let nested_gen =
+  QCheck2.Gen.(
+    let sym = int_range 0 3 in
+    let rec block depth =
+      if depth = 0 then map (fun s -> [ s ]) sym
+      else
+        frequency
+          [ (2, map (fun s -> [ s ]) sym);
+            ( 3,
+              let* body = list_size (int_range 1 4) (block (depth - 1)) in
+              let* times = int_range 1 5 in
+              return (List.concat (List.init times (fun _ -> List.concat body)))
+            ) ]
+    in
+    let* parts = list_size (int_range 0 8) (block 3) in
+    return (Array.of_list (List.concat parts)))
+
+let same_summary (a : Nlr.t) (b : Nlr.t) =
+  a.Nlr.elems = b.Nlr.elems && a.Nlr.input_length = b.Nlr.input_length
+
+(* same size, and the same body under every ID, i.e. the same intern
+   sequence *)
+let same_table a b =
+  Nlr.Loop_table.size a = Nlr.Loop_table.size b
+  && List.for_all
+       (fun id -> Nlr.Loop_table.body a id = Nlr.Loop_table.body b id)
+       (List.init (Nlr.Loop_table.size a) Fun.id)
+
+let params_gen = QCheck2.Gen.(pair (int_range 1 12) (int_range 2 4))
+
+let prop_oracle_single =
+  qtest "of_ids = reference of_ids (summary and loop table)" ~count:1000
+    QCheck2.Gen.(pair nested_gen params_gen)
+    (fun (ids, (k, repeats)) ->
+      let t1 = Nlr.Loop_table.create () and t2 = Nlr.Loop_table.create () in
+      let n1 = Nlr.of_ids ~table:t1 ~k ~repeats ids in
+      let n2 = Oracles.Nlr.of_ids ~table:t2 ~k ~repeats ids in
+      same_summary n1 n2 && same_table t1 t2)
+
+let prop_oracle_shared =
+  qtest "traces sharing a loop table: same IDs as the reference" ~count:300
+    QCheck2.Gen.(pair (list_size (int_range 1 5) nested_gen) params_gen)
+    (fun (idss, (k, repeats)) ->
+      let t1 = Nlr.Loop_table.create () and t2 = Nlr.Loop_table.create () in
+      List.for_all
+        (fun ids ->
+          same_summary
+            (Nlr.of_ids ~table:t1 ~k ~repeats ids)
+            (Oracles.Nlr.of_ids ~table:t2 ~k ~repeats ids))
+        idss
+      && same_table t1 t2)
+
+let elem_gen =
+  QCheck2.Gen.(
+    oneof
+      [ map (fun s -> Nlr.Sym s) (int_range 0 3);
+        map2 (fun body count -> Nlr.Loop { body; count }) (int_range 0 3) (int_range 2 4) ])
+
+let prop_elem_equal =
+  qtest "elem_equal is structural equality" ~count:1000
+    QCheck2.Gen.(pair elem_gen elem_gen)
+    (fun (a, b) -> Nlr.elem_equal a b = (a = b) && Nlr.elem_equal a a)
+
 let () =
   Alcotest.run "nlr"
     [ ( "reduce",
@@ -191,4 +258,5 @@ let () =
           Alcotest.test_case "validation" `Quick test_validation ] );
       ( "properties",
         [ prop_lossless; prop_lossless_various_k; prop_never_longer;
-          prop_shared_table_lossless ] ) ]
+          prop_shared_table_lossless ] );
+      ("oracle", [ prop_oracle_single; prop_oracle_shared; prop_elem_equal ]) ]

@@ -296,6 +296,55 @@ let test_pipeline_dendrogram () =
   Alcotest.(check bool) "renders all labels" true
     (String.length s > 20)
 
+(* ------------------------------------------------------------------ *)
+(* Call-ID remapping against the per-event reference                   *)
+(* ------------------------------------------------------------------ *)
+
+module Symtab = Difftrace_trace.Symtab
+module Trace = Difftrace_trace.Trace
+module Event = Difftrace_trace.Event
+
+(* a trace set over a small name pool, whose own table numbers some
+   names ahead of their first call, and a shared table that already
+   knows some of the names (as the faulty run's remap finds it) *)
+let remap_case_gen =
+  QCheck2.Gen.(
+    let name = map (Printf.sprintf "f%d") (int_range 0 11) in
+    let event = map2 (fun call n -> (call, n)) bool name in
+    let* traces = list_size (int_range 0 6) (list_size (int_range 0 40) event) in
+    let* own_first = list_size (int_range 0 12) name in
+    let* known = list_size (int_range 0 6) name in
+    return (traces, own_first, known))
+
+let prop_remap_matches_per_event =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:300 ~name:"remap_calls = per-event intern"
+       remap_case_gen (fun (traces, own_first, known) ->
+         let own = Symtab.create () in
+         List.iter (fun n -> ignore (Symtab.intern own n)) own_first;
+         let traces =
+           Array.of_list
+             (List.mapi
+                (fun pid evs ->
+                  Trace.make ~pid ~tid:0 ~truncated:false
+                    (Array.of_list
+                       (List.map
+                          (fun (call, n) ->
+                            let id = Symtab.intern own n in
+                            if call then Event.Call id else Event.Return id)
+                          evs)))
+                traces)
+         in
+         let shared () =
+           let t = Symtab.create () in
+           List.iter (fun n -> ignore (Symtab.intern t n)) known;
+           t
+         in
+         let s1 = shared () and s2 = shared () in
+         let fast = Pipeline.remap_calls ~shared:s1 ~own traces in
+         let slow = Array.map (Oracles.remap_calls ~shared:s2 ~own) traces in
+         fast = slow && Symtab.names s1 = Symtab.names s2))
+
 let () =
   Alcotest.run "pipeline"
     [ ( "config",
@@ -305,7 +354,8 @@ let () =
           Alcotest.test_case "Table IV context" `Quick test_analyze_context_table_iv;
           Alcotest.test_case "Fig. 3 lattice" `Quick test_analyze_lattice_fig3;
           Alcotest.test_case "Fig. 4 JSM" `Quick test_analyze_jsm_fig4;
-          Alcotest.test_case "unknown label" `Quick test_nlr_of_unknown_label ] );
+          Alcotest.test_case "unknown label" `Quick test_nlr_of_unknown_label;
+          prop_remap_matches_per_event ] );
       ( "compare",
         [ Alcotest.test_case "swapBug flags trace 5 (§II-G)" `Quick
             test_swapbug_suspect_is_trace5;
