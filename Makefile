@@ -18,11 +18,14 @@ bench:
 bench-smoke:
 	dune build @bench-smoke
 
-# the benchmark's correctness oracles on one short lulesh-cold run (see
-# perfbench/README.md): fails only when an answer is wrong, since it
-# sets no timing bound
+# the benchmark's correctness oracles on one short lulesh-cold run and
+# one short drilldown run (see perfbench/README.md): the drilldown's
+# write oracle round-trips both codecs (Archive.save, re-ingest, equal
+# Eventdb.digest) and its warm queries are checked against a direct
+# scan; fails only when an answer is wrong, since it sets no timing bound
 perfbench-smoke:
 	bash perfbench/run.sh --workload lulesh-cold --seed 1 --seconds 5 --trace 0
+	bash perfbench/run.sh --workload drilldown --seed 1 --seconds 5 --trace 0
 
 # the campaign smoke pass: a 2-fault x 3-seed selftest matrix (one
 # deadlocking fault, one crashing fault) must complete every cell,

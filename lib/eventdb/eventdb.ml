@@ -248,25 +248,33 @@ let write_elems buf elems =
         Varint.write buf count)
     elems
 
-let read_elems s pos =
-  let n, pos = Varint.read s pos in
-  let pos = ref pos in
-  let elems =
-    Array.init n (fun _ ->
-        let kind, p = Varint.read s !pos in
-        match kind with
-        | 0 ->
-          let id, p = Varint.read s p in
-          pos := p;
-          Nlr.Sym id
-        | 1 ->
-          let body, p = Varint.read s p in
-          let count, p = Varint.read s p in
-          pos := p;
-          Nlr.Loop { body; count }
-        | k -> bad "unknown element kind %d" k)
-  in
-  (elems, !pos)
+(* [read_array c ~min_bytes n read] reads [n] elements that take at
+   least [min_bytes] encoded bytes each. The array is sized by the bytes
+   left as well as by [n], so a corrupt count fails on the truncated
+   read that must follow, never on the allocation. *)
+let read_array c ~min_bytes n read =
+  if n = 0 then [||]
+  else begin
+    let first = read c in
+    let a = Array.make (min n (1 + (Varint.remaining c / min_bytes))) first in
+    for i = 1 to n - 1 do
+      let v = read c in
+      a.(i) <- v
+    done;
+    a
+  end
+
+let read_elem c =
+  match Varint.next c with
+  | 0 -> Nlr.Sym (Varint.next c)
+  | 1 ->
+    let body = Varint.next c in
+    let count = Varint.next c in
+    Nlr.Loop { body; count }
+  | k -> bad "unknown element kind %d" k
+
+let read_elems c = read_array c ~min_bytes:2 (Varint.next c) read_elem
+let read_event c = Event.decode (Varint.next c)
 
 let payload tag f =
   let b = Buffer.create 128 in
@@ -385,27 +393,23 @@ let decode ~digest payloads =
     (fun s ->
       if String.length s = 0 then bad "empty record";
       let tag = Char.code s.[0] in
-      let pos = 1 in
+      let c = Varint.cursor ~pos:1 s in
+      let finished what =
+        if c.Varint.pos <> String.length s then bad "trailing bytes in %s record" what
+      in
       if tag = tag_symbol then
         ignore (Symtab.intern symtab (String.sub s 1 (String.length s - 1)))
       else if tag = tag_body then begin
-        let elems, pos = read_elems s pos in
-        if pos <> String.length s then bad "trailing bytes in body record";
+        let elems = read_elems c in
+        finished "body";
         ignore (Nlr.Loop_table.intern table elems)
       end
       else if tag = tag_thread then begin
-        let pid, pos = Varint.read s pos in
-        let tid, pos = Varint.read s pos in
-        let trunc, pos = Varint.read s pos in
-        let n, pos = Varint.read s pos in
-        let pos = ref pos in
-        let events =
-          Array.init n (fun _ ->
-              let e, p = Varint.read s !pos in
-              pos := p;
-              Event.decode e)
-        in
-        if !pos <> String.length s then bad "trailing bytes in thread record";
+        let pid = Varint.next c in
+        let tid = Varint.next c in
+        let trunc = Varint.next c in
+        let events = read_array c ~min_bytes:1 (Varint.next c) read_event in
+        finished "thread";
         let p =
           { p_truncated = trunc <> 0;
             p_events = events;
@@ -417,36 +421,29 @@ let decode ~digest payloads =
         threads := (pid, tid) :: !threads
       end
       else if tag = tag_postings then begin
-        let ti, pos = Varint.read s pos in
-        let func, pos = Varint.read s pos in
-        let n, pos = Varint.read s pos in
-        let pos = ref pos in
+        let ti = Varint.next c in
+        let func = Varint.next c in
         let prev = ref 0 in
         let positions =
-          Array.init n (fun _ ->
-              let d, p = Varint.read s !pos in
-              pos := p;
-              prev := !prev + d;
+          read_array c ~min_bytes:1 (Varint.next c) (fun c ->
+              prev := !prev + Varint.next c;
               !prev)
         in
-        if !pos <> String.length s then bad "trailing bytes in postings record";
+        finished "postings";
         if func >= Symtab.size symtab then bad "postings for unknown function";
         let p = nth ti in
         p.p_postings <- (func, positions) :: p.p_postings
       end
       else if tag = tag_intervals then begin
-        let ti, pos = Varint.read s pos in
-        let n, pos = Varint.read s pos in
-        let pos = ref pos in
+        let ti = Varint.next c in
         let prev = ref 0 in
         let ivs =
-          Array.init n (fun _ ->
-              let func, p = Varint.read s !pos in
-              let dstart, p = Varint.read s p in
-              let len, p = Varint.read s p in
-              let depth, p = Varint.read s p in
-              let caller1, p = Varint.read s p in
-              pos := p;
+          read_array c ~min_bytes:5 (Varint.next c) (fun c ->
+              let func = Varint.next c in
+              let dstart = Varint.next c in
+              let len = Varint.next c in
+              let depth = Varint.next c in
+              let caller1 = Varint.next c in
               prev := !prev + dstart;
               { Intervals.iv_func = func;
                 iv_start = !prev;
@@ -454,26 +451,23 @@ let decode ~digest payloads =
                 iv_depth = depth;
                 iv_caller = caller1 - 1 })
         in
-        if !pos <> String.length s then bad "trailing bytes in interval record";
+        finished "interval";
         (nth ti).p_intervals <- ivs
       end
       else if tag = tag_loops then begin
-        let ti, pos = Varint.read s pos in
-        let n, pos = Varint.read s pos in
-        let pos = ref pos in
+        let ti = Varint.next c in
         let spans =
-          Array.init n (fun _ ->
-              let body, p = Varint.read s !pos in
-              let count, p = Varint.read s p in
-              let start, p = Varint.read s p in
-              let len, p = Varint.read s p in
-              pos := p;
+          read_array c ~min_bytes:4 (Varint.next c) (fun c ->
+              let body = Varint.next c in
+              let count = Varint.next c in
+              let start = Varint.next c in
+              let len = Varint.next c in
               if body >= Nlr.Loop_table.size table then
                 bad "span for unknown loop body";
               { lp_body = body; lp_count = count; lp_start = start;
                 lp_stop = start + len })
         in
-        if !pos <> String.length s then bad "trailing bytes in loop record";
+        finished "loop";
         (nth ti).p_loops <- spans
       end
       else bad "unknown record tag %d" tag)

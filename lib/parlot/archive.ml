@@ -114,13 +114,7 @@ let write_v2_trace path data ~chunk_size =
 
 let encode_trace (tr : Trace.t) =
   let enc = Lzw.encoder () in
-  let scratch = Buffer.create 16 in
-  Array.iter
-    (fun ev ->
-      Buffer.clear scratch;
-      Varint.write scratch (Event.encode ev);
-      Lzw.feed_string enc (Buffer.contents scratch))
-    tr.Trace.events;
+  Array.iter (fun ev -> Lzw.feed_varint enc (Event.encode ev)) tr.Trace.events;
   Lzw.finish enc
 
 let save ?(format = V2) ?(chunk_size = default_chunk_size) ~dir ts =
@@ -269,9 +263,16 @@ type scan = {
 
 let read_block_size = 65536
 
+(* The manifest's event count presizes the decoded event array, but a
+   v1 manifest carries no checksum, so the count is capped by what a
+   trace file of [size] bytes plausibly holds; a stream that really
+   holds more grows past the cap. *)
+let max_events_per_byte = 16
+let presize ~len ~size = max 0 (min len (max_events_per_byte * (size + 1)))
+
 (* Shared by load and verify; IO errors (missing file) are reported as
    an issue, never an exception. *)
-let scan_trace ~version path =
+let scan_trace ~version ~len path =
   match open_in_bin path with
   | exception Sys_error m ->
     { sc_chunks = 0;
@@ -285,7 +286,7 @@ let scan_trace ~version path =
       ~finally:(fun () -> close_in_noerr ic)
       (fun () ->
         let size = in_channel_length ic in
-        let st = Tracer.stream () in
+        let st = Tracer.stream ~expected:(presize ~len ~size) () in
         let chunks = ref 0 in
         let bytes = ref 0 in
         let consumed = ref 0 in
@@ -401,7 +402,7 @@ type thread_outcome =
 
 let load_thread ~version ~salvage dir (pid, tid, truncated, len) =
   let path = trace_file dir ~pid ~tid in
-  let sc = scan_trace ~version path in
+  let sc = scan_trace ~version ~len path in
   let outcome =
     match sc.sc_issue with
     | Some reason -> Error reason
@@ -486,7 +487,9 @@ let verify ?(runner = sequential_runner) ~dir () =
     let checks =
       runner.run (Array.length threads) (fun i ->
           let pid, tid, _, len = threads.(i) in
-          let sc = scan_trace ~version:m.m_version (trace_file dir ~pid ~tid) in
+          let sc =
+            scan_trace ~version:m.m_version ~len (trace_file dir ~pid ~tid)
+          in
           let events = Tracer.stream_events sc.sc_stream in
           let issue =
             match sc.sc_issue with

@@ -23,7 +23,17 @@
     readable. Trace files are decoded incrementally — chunk by chunk
     through {!Lzw}'s streaming decoder — so a multi-GB archive never
     materializes a trace file as one string, and per-thread loads can
-    be fanned out over domains via a {!runner}. *)
+    be fanned out over domains via a {!runner}.
+
+    Decoding allocates about one event array per trace and a few
+    buffers per file, not a block per event: events are parsed in place
+    into an array presized from the manifest's event count, and decoded
+    events are shared values. The presize is capped by the trace file's
+    size (16 events per byte), since a v1 manifest's count is not
+    checksummed; a stream holding more grows past the cap, and a count
+    that no file could hold is reported as a length mismatch, never
+    raised. Saving feeds each event's varint straight into the LZW
+    encoder, with no string per event. *)
 
 (** Archive wire format. [V2] (framed + checksummed) is the default for
     {!save}; [V1] is the legacy format, still written for

@@ -6,7 +6,13 @@
     resident, and the output is appended to the thread's trace file as
     the application runs. This module reproduces that property with the
     classic LZW scheme over bytes; dictionary codes are emitted as
-    LEB128 varints so fresh (small) codes stay short. *)
+    LEB128 varints so fresh (small) codes stay short.
+
+    Both directions keep their dictionaries in flat int and byte
+    tables that double when full. A step of the encoder or decoder
+    allocates nothing beyond that amortized growth and the output
+    buffer's, so encoding or decoding a trace costs a few allocations
+    per trace, not one or more per byte. *)
 
 type encoder
 
@@ -19,6 +25,11 @@ val feed : encoder -> char -> unit
 
 (** [feed_string e s] pushes every byte of [s]. *)
 val feed_string : encoder -> string -> unit
+
+(** [feed_varint e n] pushes the unsigned LEB128 coding of [n] — the
+    bytes [Varint.write] would emit — without building them as a string.
+    Raises [Invalid_argument] if [n < 0]. *)
+val feed_varint : encoder -> int -> unit
 
 (** [finish e] flushes the pending phrase and returns the complete
     compressed output. The encoder must not be fed afterwards. *)
@@ -57,6 +68,19 @@ val decode_feed : decoder -> string -> unit
 (** [decode_take d] drains and returns the decompressed bytes produced
     since the last take. *)
 val decode_take : decoder -> string
+
+(** [decode_output d] is the decoder's output buffer: its first
+    [decode_output_length d] bytes are the decompressed bytes not yet
+    taken. It is read in place, without the copy {!decode_take} makes,
+    and belongs to the decoder: the next feed may overwrite or replace
+    it. *)
+val decode_output : decoder -> Bytes.t
+
+val decode_output_length : decoder -> int
+
+(** [decode_clear d] drops the pending output, as {!decode_take} does
+    after copying it. *)
+val decode_clear : decoder -> unit
 
 (** [decode_finished d] — has the end-of-stream marker been consumed? *)
 val decode_finished : decoder -> bool

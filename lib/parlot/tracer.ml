@@ -1,4 +1,3 @@
-open Difftrace_util
 open Difftrace_trace
 module Telemetry = Difftrace_obs.Telemetry
 
@@ -16,7 +15,6 @@ type t = {
   pid : int;
   tid : int;
   encoder : Lzw.encoder;
-  scratch : Buffer.t;
   mutable nevents : int;
   mutable truncated : bool;
 }
@@ -27,7 +25,6 @@ let create ~symtab ~level ~pid ~tid =
     pid;
     tid;
     encoder = Lzw.encoder ();
-    scratch = Buffer.create 16;
     nevents = 0;
     truncated = false }
 
@@ -36,9 +33,7 @@ let tid t = t.tid
 let keeps t image = match (t.level, image) with All_images, _ | Main_image, Main -> true | Main_image, Library -> false
 
 let record t event =
-  Buffer.clear t.scratch;
-  Varint.write t.scratch (Event.encode event);
-  Lzw.feed_string t.encoder (Buffer.contents t.scratch);
+  Lzw.feed_varint t.encoder (Event.encode event);
   Telemetry.Counter.incr c_captured;
   t.nevents <- t.nevents + 1
 
@@ -64,52 +59,70 @@ let finish t =
 
 (* Streaming decode: compressed bytes go through the incremental LZW
    decoder, and the decompressed varint-event stream is parsed as it
-   drains — a partial event varint is carried across feeds, so the
-   archive layer can push arbitrary chunk slices. *)
+   drains, straight out of the decoder's output buffer — a partial event
+   varint is carried across feeds, so the archive layer can push
+   arbitrary chunk slices. Events land in an array presized from the
+   expected count, which becomes the trace without a copy when the count
+   is exact. *)
 
 type stream = {
   lzw : Lzw.decoder;
-  s_events : Event.t Vec.t;
+  mutable s_events : Event.t array; (* [0, s_count) decoded *)
+  mutable s_count : int;
   mutable s_acc : int; (* partial event varint *)
   mutable s_shift : int;
   mutable s_partial : bool; (* an event varint is in flight *)
   mutable s_bytes : int; (* compressed bytes fed so far *)
 }
 
-let stream () =
+let filler = Event.Call 0
+
+let stream ?(expected = 0) () =
   { lzw = Lzw.decoder ();
-    s_events = Vec.create ();
+    s_events = Array.make (max 0 expected) filler;
+    s_count = 0;
     s_acc = 0;
     s_shift = 0;
     s_partial = false;
     s_bytes = 0 }
 
+let push st e =
+  let n = st.s_count in
+  if n = Array.length st.s_events then begin
+    let a = Array.make (max 16 (2 * n)) filler in
+    Array.blit st.s_events 0 a 0 n;
+    st.s_events <- a
+  end;
+  st.s_events.(n) <- e;
+  st.s_count <- n + 1
+
 let drain st =
-  let raw = Lzw.decode_take st.lzw in
-  String.iter
-    (fun c ->
-      let b = Char.code c in
-      if st.s_shift > 56 then invalid_arg "Tracer.decode: event varint overflow";
-      st.s_acc <- st.s_acc lor ((b land 0x7f) lsl st.s_shift);
-      if st.s_acc < 0 then invalid_arg "Tracer.decode: event varint overflow";
-      if b land 0x80 = 0 then begin
-        Vec.push st.s_events (Event.decode st.s_acc);
-        st.s_acc <- 0;
-        st.s_shift <- 0;
-        st.s_partial <- false
-      end
-      else begin
-        st.s_shift <- st.s_shift + 7;
-        st.s_partial <- true
-      end)
-    raw
+  let raw = Lzw.decode_output st.lzw in
+  let len = Lzw.decode_output_length st.lzw in
+  Lzw.decode_clear st.lzw;
+  for i = 0 to len - 1 do
+    let b = Char.code (Bytes.get raw i) in
+    if st.s_shift > 56 then invalid_arg "Tracer.decode: event varint overflow";
+    st.s_acc <- st.s_acc lor ((b land 0x7f) lsl st.s_shift);
+    if st.s_acc < 0 then invalid_arg "Tracer.decode: event varint overflow";
+    if b land 0x80 = 0 then begin
+      push st (Event.decode st.s_acc);
+      st.s_acc <- 0;
+      st.s_shift <- 0;
+      st.s_partial <- false
+    end
+    else begin
+      st.s_shift <- st.s_shift + 7;
+      st.s_partial <- true
+    end
+  done
 
 let stream_feed st data =
   st.s_bytes <- st.s_bytes + String.length data;
   Lzw.decode_feed st.lzw data;
   drain st
 
-let stream_events st = Vec.length st.s_events
+let stream_events st = st.s_count
 
 (* a zero-byte stream is a complete empty trace — the streaming analogue
    of [Lzw.decompress ""] = "" — not a missing end-of-stream marker *)
@@ -119,8 +132,12 @@ let stream_complete st =
 
 let stream_trace st ~pid ~tid ~truncated =
   Telemetry.Counter.incr c_decoded_traces;
-  Telemetry.Counter.add c_decoded_events (Vec.length st.s_events);
-  Trace.make ~pid ~tid ~truncated (Vec.to_array st.s_events)
+  Telemetry.Counter.add c_decoded_events st.s_count;
+  let events =
+    if st.s_count = Array.length st.s_events then st.s_events
+    else Array.sub st.s_events 0 st.s_count
+  in
+  Trace.make ~pid ~tid ~truncated events
 
 let stream_finish st ~pid ~tid ~truncated =
   drain st;

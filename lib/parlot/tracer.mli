@@ -3,7 +3,8 @@
     The simulated runtime calls [on_call]/[on_return] exactly where Pin
     instrumentation would fire; events are varint-serialized and pushed
     straight into a streaming {!Lzw} encoder, so the in-memory footprint
-    during capture is the encoder state, not the trace. *)
+    during capture is the encoder state, not the trace. Recording an
+    event allocates nothing beyond the encoder's amortized growth. *)
 
 (** Which binary image a function belongs to. ParLOT captures either the
     [main image] only (user code + API entry points) or [all images]
@@ -66,12 +67,21 @@ val decode :
     accepted in arbitrary slices (the archive feeds checksummed chunks
     as it reads them), events materialize incrementally, and a damaged
     stream can be {e salvaged} — every event that decoded cleanly before
-    the first bad byte is kept. *)
+    the first bad byte is kept.
+
+    Events are parsed in place out of the LZW decoder's output buffer,
+    and decoded events are the shared values of {!Difftrace_trace.Event.decode},
+    so a feed allocates only amortized buffer growth. *)
 
 type stream
 
-(** [stream ()] is a fresh streaming decoder for one trace file. *)
-val stream : unit -> stream
+(** [stream ?expected ()] is a fresh streaming decoder for one trace
+    file. [expected] (default 0) presizes the event array: when exactly
+    that many events decode, the array becomes the trace without a
+    copy, and the stream grows past it when more arrive. The presize is
+    allocated as given, so a caller holding an untrusted count must cap
+    it first ({!Archive.load} caps it by the trace file's size). *)
+val stream : ?expected:int -> unit -> stream
 
 (** [stream_feed st bytes] pushes compressed bytes; completed events
     accumulate inside. Raises [Invalid_argument] on corrupt input —

@@ -14,4 +14,10 @@ let to_string symtab = function
   | Return i -> "ret " ^ Symtab.name symtab i
 
 let encode = function Call i -> i lsl 1 | Return i -> (i lsl 1) lor 1
-let decode n = if n land 1 = 0 then Call (n lsr 1) else Return (n lsr 1)
+let make n = if n land 1 = 0 then Call (n lsr 1) else Return (n lsr 1)
+
+(* Events are immutable, so every decode of a small code returns one
+   shared value instead of a fresh block. The table is built once and
+   only read, so domains may share it. *)
+let shared = Array.init 4096 make
+let decode n = if n >= 0 && n < Array.length shared then shared.(n) else make n

@@ -24,7 +24,10 @@ val equal : t -> t -> bool
 val to_string : Symtab.t -> t -> string
 
 (** [encode e] packs an event into a single non-negative int
-    (LSB = return flag); [decode] inverts it. Used by the trace codec. *)
+    (LSB = return flag); [decode] inverts it. Used by the trace codec.
+    [decode] allocates nothing for codes below 4096 (function IDs below
+    2048): it returns a value shared by every such decode, so decoded
+    events must be compared with {!equal} or [=], never [==]. *)
 val encode : t -> int
 
 val decode : int -> t

@@ -15,6 +15,26 @@ val write : Buffer.t -> int -> unit
     produces it). *)
 val read : string -> int -> int * int
 
+(** {1 Cursors}
+
+    A cursor reads consecutive varints out of one string without
+    allocating: [next] advances [pos] in place, where [read] returns a
+    fresh pair per value. The event-DB index decoder reads every record
+    kind this way. *)
+
+type cursor = { s : string; mutable pos : int }
+
+(** [cursor ?pos s] starts reading [s] at [pos] (default 0). *)
+val cursor : ?pos:int -> string -> cursor
+
+(** [remaining c] is the number of bytes left after [c.pos]. *)
+val remaining : cursor -> int
+
+(** [next c] decodes the varint at [c.pos] and advances past it. Raises
+    [Invalid_argument] exactly as {!read} does, leaving [c.pos]
+    unchanged. *)
+val next : cursor -> int
+
 (** [size n] is the number of bytes [write] would emit for [n]. *)
 val size : int -> int
 

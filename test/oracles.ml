@@ -137,3 +137,775 @@ let memo_key ~ids ~k ~repeats =
       Buffer.add_string buf (string_of_int id))
     ids;
   Digest.string (Buffer.contents buf)
+
+(* Event decoding that allocates a fresh block per event. *)
+module Event = struct
+  include Event
+
+  let decode n = if n land 1 = 0 then Call (n lsr 1) else Return (n lsr 1)
+end
+
+(* LEB128 with a closure per call: [write]'s and [read]'s inner [go]
+   capture their buffer. *)
+module Varint = struct
+  let write buf n =
+    if n < 0 then invalid_arg "Varint.write: negative";
+    let rec go n =
+      if n < 0x80 then Buffer.add_char buf (Char.chr n)
+      else begin
+        Buffer.add_char buf (Char.chr (0x80 lor (n land 0x7f)));
+        go (n lsr 7)
+      end
+    in
+    go n
+
+  let read s pos =
+    let len = String.length s in
+    let rec go pos shift acc =
+      if pos >= len then invalid_arg "Varint.read: truncated input";
+      (* [write] never emits more than 9 bytes (shift 56 holds bits
+         56..62 of a 63-bit int); past that — or once a continuation run
+         would set the sign bit — [lsl] silently wraps, so reject. *)
+      if shift > 56 then invalid_arg "Varint.read: overflow";
+      let b = Char.code s.[pos] in
+      let acc = acc lor ((b land 0x7f) lsl shift) in
+      if acc < 0 then invalid_arg "Varint.read: overflow";
+      if b land 0x80 = 0 then (acc, pos + 1) else go (pos + 1) (shift + 7) acc
+    in
+    go pos 0 0
+end
+
+(* LZW with a polymorphic [(int * char) Hashtbl] dictionary and a
+   decoder that boxes one [(prefix, last byte)] tuple per phrase and
+   walks every prefix chain twice. *)
+module Lzw = struct
+  (* Classic LZW. Codes 0..255 denote single bytes; code 256 is the
+     end-of-stream marker; fresh phrases get codes from 257 up. The
+     current phrase is represented by its dictionary code, so the encoder
+     state is O(1) per step plus the dictionary. *)
+
+  let eos_code = 256
+  let first_code = 257
+
+  type encoder = {
+    dict : (int * char, int) Hashtbl.t;
+    mutable next_code : int;
+    mutable current : int; (* code of the pending phrase; -1 = none *)
+    out : Buffer.t;
+    mutable fed : int;
+  }
+
+  let encoder () =
+    { dict = Hashtbl.create 4096;
+      next_code = first_code;
+      current = -1;
+      out = Buffer.create 256;
+      fed = 0 }
+
+  let feed e c =
+    e.fed <- e.fed + 1;
+    if e.current < 0 then e.current <- Char.code c
+    else
+      match Hashtbl.find_opt e.dict (e.current, c) with
+      | Some code -> e.current <- code
+      | None ->
+        Varint.write e.out e.current;
+        Hashtbl.add e.dict (e.current, c) e.next_code;
+        e.next_code <- e.next_code + 1;
+        e.current <- Char.code c
+
+  let feed_string e s = String.iter (feed e) s
+
+  let finish e =
+    if e.current >= 0 then begin
+      Varint.write e.out e.current;
+      e.current <- -1
+    end;
+    Varint.write e.out eos_code;
+    Buffer.contents e.out
+
+  let output_size e = Buffer.length e.out
+  let input_size e = e.fed
+
+  let compress s =
+    let e = encoder () in
+    feed_string e s;
+    finish e
+
+  (* Decoder: phrases are stored as (prefix_code, last_byte) pairs; a
+     phrase is materialized by walking prefixes. Handles the KwKwK case
+     (a code one past the dictionary end refers to the phrase currently
+     being defined). The decoder is incremental: compressed bytes arrive
+     in arbitrary slices (a varint code may straddle two feeds), so the
+     archive layer can stream a trace file chunk by chunk without ever
+     materializing it as one string. *)
+
+  type decoder = {
+    phrases : (int * char) Vec.t; (* phrases.(i) is code first_code+i *)
+    dout : Buffer.t; (* decoded bytes not yet taken *)
+    mutable prev : int; (* previous code; -1 = none yet *)
+    mutable acc : int; (* partial varint accumulator *)
+    mutable shift : int; (* nonzero while a varint straddles feeds *)
+    mutable eos : bool; (* end-of-stream marker consumed *)
+  }
+
+  let decoder () =
+    { phrases = Vec.create ();
+      dout = Buffer.create 256;
+      prev = -1;
+      acc = 0;
+      shift = 0;
+      eos = false }
+
+  let phrase_bytes d buf code =
+    let rec go code =
+      if code < 256 then Buffer.add_char buf (Char.chr code)
+      else begin
+        let prefix, last = Vec.get d.phrases (code - first_code) in
+        go prefix;
+        Buffer.add_char buf last
+      end
+    in
+    go code
+
+  let first_byte d code =
+    let rec go code =
+      if code < 256 then Char.chr code
+      else
+        let prefix, _ = Vec.get d.phrases (code - first_code) in
+        go prefix
+    in
+    go code
+
+  let decode_code d code =
+    if code = eos_code then d.eos <- true
+    else begin
+      let valid_max = first_code + Vec.length d.phrases in
+      if code > valid_max || code < 0 then invalid_arg "Lzw.decompress: bad code";
+      (* the first code of a stream must be a literal: no phrase exists
+         yet, and the KwKwK rule needs a previous code to lean on *)
+      if d.prev < 0 && code >= first_code then
+        invalid_arg "Lzw.decompress: bad code";
+      if d.prev >= 0 then begin
+        (* Define the phrase prev ++ first_byte(code); for the KwKwK
+           case code = valid_max, whose first byte equals prev's. *)
+        let last =
+          if code = valid_max then first_byte d d.prev else first_byte d code
+        in
+        Vec.push d.phrases (d.prev, last)
+      end;
+      phrase_bytes d d.dout code;
+      d.prev <- code
+    end
+
+  let decode_feed d s =
+    String.iter
+      (fun c ->
+        if d.eos then
+          invalid_arg "Lzw.decompress: trailing bytes after end-of-stream";
+        let b = Char.code c in
+        (* inline varint accumulation; codes are dictionary-bounded, so a
+           run shifting past 56 bits can only be corruption *)
+        if d.shift > 56 then invalid_arg "Lzw.decompress: bad code";
+        d.acc <- d.acc lor ((b land 0x7f) lsl d.shift);
+        if d.acc < 0 then invalid_arg "Lzw.decompress: bad code";
+        if b land 0x80 = 0 then begin
+          let code = d.acc in
+          d.acc <- 0;
+          d.shift <- 0;
+          decode_code d code
+        end
+        else d.shift <- d.shift + 7)
+      s
+
+  (* [decode_take] drains the decoded bytes produced so far, so callers
+     can consume output incrementally and keep the buffer bounded. *)
+  let decode_take d =
+    let s = Buffer.contents d.dout in
+    Buffer.clear d.dout;
+    s
+
+  let decode_finished d = d.eos
+
+  let decode_finish d =
+    if not d.eos then invalid_arg "Lzw.decompress: missing end-of-stream";
+    decode_take d
+
+  let decompress s =
+    if String.length s = 0 then ""
+    else begin
+      let d = decoder () in
+      decode_feed d s;
+      decode_finish d
+    end
+end
+
+(* The streaming event decoder that iterates the drained string with a
+   closure per byte and pushes one fresh event block into a [Vec]. *)
+module Tracer = struct
+
+  type stream = {
+    lzw : Lzw.decoder;
+    s_events : Event.t Vec.t;
+    mutable s_acc : int; (* partial event varint *)
+    mutable s_shift : int;
+    mutable s_partial : bool; (* an event varint is in flight *)
+    mutable s_bytes : int; (* compressed bytes fed so far *)
+  }
+
+  let stream () =
+    { lzw = Lzw.decoder ();
+      s_events = Vec.create ();
+      s_acc = 0;
+      s_shift = 0;
+      s_partial = false;
+      s_bytes = 0 }
+
+  let drain st =
+    let raw = Lzw.decode_take st.lzw in
+    String.iter
+      (fun c ->
+        let b = Char.code c in
+        if st.s_shift > 56 then invalid_arg "Tracer.decode: event varint overflow";
+        st.s_acc <- st.s_acc lor ((b land 0x7f) lsl st.s_shift);
+        if st.s_acc < 0 then invalid_arg "Tracer.decode: event varint overflow";
+        if b land 0x80 = 0 then begin
+          Vec.push st.s_events (Event.decode st.s_acc);
+          st.s_acc <- 0;
+          st.s_shift <- 0;
+          st.s_partial <- false
+        end
+        else begin
+          st.s_shift <- st.s_shift + 7;
+          st.s_partial <- true
+        end)
+      raw
+
+  let stream_feed st data =
+    st.s_bytes <- st.s_bytes + String.length data;
+    Lzw.decode_feed st.lzw data;
+    drain st
+
+  let stream_events st = Vec.length st.s_events
+
+  (* a zero-byte stream is a complete empty trace — the streaming analogue
+     of [Lzw.decompress ""] = "" — not a missing end-of-stream marker *)
+  let stream_complete st =
+    drain st;
+    st.s_bytes = 0 || (Lzw.decode_finished st.lzw && not st.s_partial)
+
+  let stream_trace st ~pid ~tid ~truncated =
+    Trace.make ~pid ~tid ~truncated (Vec.to_array st.s_events)
+
+  let stream_finish st ~pid ~tid ~truncated =
+    drain st;
+    if st.s_bytes > 0 then ignore (Lzw.decode_finish st.lzw);
+    if st.s_partial then invalid_arg "Tracer.decode: truncated event stream";
+    stream_trace st ~pid ~tid ~truncated
+
+  (* Salvage: keep every event that decoded cleanly, drop a trailing
+     partial varint, and force the truncation flag — the archive's
+     recovery path for damaged trace files. *)
+  let stream_salvage st ~pid ~tid =
+    (try drain st with Invalid_argument _ -> ());
+    stream_trace st ~pid ~tid ~truncated:true
+end
+
+(* The archive read path over the oracle [Tracer] stream, with an
+   unsized event vector (no presize from the manifest). *)
+module Archive = struct
+  open Difftrace_parlot.Archive
+
+  let chunk_magic = "DTA2"
+  let trace_file = trace_file
+  let manifest_file = manifest_file
+
+  type manifest = {
+    m_version : int;
+    m_symbols : string list;
+    m_threads : (int * int * bool * int) list; (* pid, tid, truncated, len *)
+  }
+
+  exception Bad of string
+
+  let crc_footer_len = String.length "crc 00000000\n"
+
+  let parse_manifest text =
+    let fail msg = raise (Bad msg) in
+    let version, body =
+      if String.length text >= 20 && String.sub text 0 20 = "difftrace-archive 1\n"
+      then (1, text)
+      else if
+        String.length text >= 20 && String.sub text 0 20 = "difftrace-archive 2\n"
+      then begin
+        let n = String.length text in
+        if n < 20 + crc_footer_len then fail "missing manifest checksum";
+        let body = String.sub text 0 (n - crc_footer_len) in
+        let footer = String.sub text (n - crc_footer_len) crc_footer_len in
+        let crc =
+          try Scanf.sscanf footer "crc %x" (fun c -> c)
+          with _ -> fail "missing manifest checksum"
+        in
+        if Crc32.string body <> crc then fail "manifest checksum mismatch";
+        (2, body)
+      end
+      else fail "bad magic"
+    in
+    match String.split_on_char '\n' body with
+    | _magic :: rest ->
+      let nsyms, rest =
+        match rest with
+        | l :: rest -> (
+          try Scanf.sscanf l "symbols %d" (fun n -> (n, rest))
+          with _ -> fail "missing symbols header")
+        | [] -> fail "truncated manifest"
+      in
+      if nsyms < 0 then fail "missing symbols header";
+      let rec read_syms n rest acc =
+        if n = 0 then (List.rev acc, rest)
+        else
+          match rest with
+          | l :: rest ->
+            let name =
+              try Scanf.sscanf l "%S" (fun s -> s) with _ -> fail "bad symbol"
+            in
+            read_syms (n - 1) rest (name :: acc)
+          | [] -> fail "truncated symbols"
+      in
+      let symbols, rest = read_syms nsyms rest [] in
+      let nthreads, rest =
+        match rest with
+        | l :: rest -> (
+          try Scanf.sscanf l "threads %d" (fun n -> (n, rest))
+          with _ -> fail "missing threads header")
+        | [] -> fail "truncated manifest"
+      in
+      if nthreads < 0 then fail "missing threads header";
+      let rec read_threads n rest acc =
+        if n = 0 then List.rev acc
+        else
+          match rest with
+          | l :: rest ->
+            let pid, tid, status, len =
+              try Scanf.sscanf l "thread %d %d %s %d" (fun a b c d -> (a, b, c, d))
+              with _ -> fail "bad thread line"
+            in
+            let truncated =
+              match status with
+              | "truncated" -> true
+              | "complete" -> false
+              | _ -> fail "bad thread status"
+            in
+            read_threads (n - 1) rest ((pid, tid, truncated, len) :: acc)
+          | [] -> fail "truncated thread list"
+      in
+      let threads = read_threads nthreads rest [] in
+      { m_version = version; m_symbols = symbols; m_threads = threads }
+    | [] -> fail "bad magic"
+
+  (* ------------------------------------------------------------------ *)
+  (* Reading one trace file                                              *)
+  (* ------------------------------------------------------------------ *)
+
+  (* Outcome of scanning one trace file: chunk accounting plus the
+     decoder holding every event recovered before the first problem.
+     [sc_consumed] is the file offset just past the last fully validated
+     chunk — dropped bytes under salvage are measured from there. *)
+  type scan = {
+    sc_chunks : int;
+    sc_bytes : int; (* validated payload bytes *)
+    sc_consumed : int;
+    sc_size : int;
+    sc_issue : string option;
+    sc_stream : Tracer.stream;
+  }
+
+  let read_block_size = 65536
+
+  (* Shared by load and verify; IO errors (missing file) are reported as
+     an issue, never an exception. *)
+  let scan_trace ~version path =
+    match open_in_bin path with
+    | exception Sys_error m ->
+      { sc_chunks = 0;
+        sc_bytes = 0;
+        sc_consumed = 0;
+        sc_size = 0;
+        sc_issue = Some ("cannot open trace file: " ^ m);
+        sc_stream = Tracer.stream () }
+    | ic ->
+      Fun.protect
+        ~finally:(fun () -> close_in_noerr ic)
+        (fun () ->
+          let size = in_channel_length ic in
+          let st = Tracer.stream () in
+          let chunks = ref 0 in
+          let bytes = ref 0 in
+          let consumed = ref 0 in
+          let issue = ref None in
+          let set_issue r = if !issue = None then issue := Some r in
+          (match version with
+          | 1 ->
+            (* v1: a bare LZW stream; read in blocks, feed incrementally *)
+            (try
+               let buf = Bytes.create read_block_size in
+               let rec go () =
+                 let n = input ic buf 0 read_block_size in
+                 if n > 0 then begin
+                   Tracer.stream_feed st (Bytes.sub_string buf 0 n);
+                   bytes := !bytes + n;
+                   consumed := pos_in ic;
+                   go ()
+                 end
+               in
+               go ();
+               if not (Tracer.stream_complete st) then
+                 set_issue "unterminated event stream"
+             with Invalid_argument m -> set_issue ("decode error: " ^ m))
+          | _ ->
+            let read_varint () =
+              let rec go shift acc =
+                if shift > 56 then failwith "bad chunk length";
+                let b = input_byte ic in
+                let acc = acc lor ((b land 0x7f) lsl shift) in
+                if acc < 0 then failwith "bad chunk length";
+                if b land 0x80 = 0 then acc else go (shift + 7) acc
+              in
+              go 0 0
+            in
+            (try
+               let magic = really_input_string ic 4 in
+               if magic <> chunk_magic then set_issue "bad trace file magic"
+               else begin
+                 let stream_crc = ref Crc32.init in
+                 let rec loop () =
+                   let len = read_varint () in
+                   if len = 0 then begin
+                     let expect = Crc32.of_le_bytes (really_input_string ic 4) 0 in
+                     if Crc32.finish !stream_crc <> expect then begin
+                       set_issue "whole-stream checksum mismatch"
+                     end
+                     else begin
+                       consumed := pos_in ic;
+                       if pos_in ic <> size then
+                         set_issue "trailing garbage after terminator"
+                       else if not (Tracer.stream_complete st) then
+                         set_issue "unterminated event stream"
+                     end
+                   end
+                   else if len > size - pos_in ic then failwith "truncated chunk"
+                   else begin
+                     let data = really_input_string ic len in
+                     let expect = Crc32.of_le_bytes (really_input_string ic 4) 0 in
+                     if Crc32.string data <> expect then begin
+                       set_issue "chunk checksum mismatch"
+                     end
+                     else begin
+                       incr chunks;
+                       bytes := !bytes + len;
+                       stream_crc := Crc32.update !stream_crc data ~pos:0 ~len;
+                       match Tracer.stream_feed st data with
+                       | () ->
+                         consumed := pos_in ic;
+                         loop ()
+                       | exception Invalid_argument m ->
+                         set_issue ("decode error: " ^ m)
+                     end
+                   end
+                 in
+                 loop ()
+               end
+             with
+            | End_of_file -> set_issue "truncated chunk"
+            | Failure m -> set_issue m));
+          { sc_chunks = !chunks;
+            sc_bytes = !bytes;
+            sc_consumed = !consumed;
+            sc_size = size;
+            sc_issue = !issue;
+            sc_stream = st })
+
+  (* ------------------------------------------------------------------ *)
+  (* Loading                                                             *)
+  (* ------------------------------------------------------------------ *)
+
+  let read_manifest dir =
+    let path = manifest_file dir in
+    match
+      let ic = open_in_bin path in
+      Fun.protect
+        ~finally:(fun () -> close_in_noerr ic)
+        (fun () -> really_input_string ic (in_channel_length ic))
+    with
+    | exception Sys_error m ->
+      Error { err_path = path; err_reason = "cannot read manifest: " ^ m }
+    | text -> (
+      match parse_manifest text with
+      | m -> Ok m
+      | exception Bad reason -> Error { err_path = path; err_reason = reason })
+
+  type thread_outcome =
+    | T_ok of Trace.t
+    | T_salvaged of Trace.t * salvage
+    | T_err of error
+
+  let load_thread ~version ~salvage dir (pid, tid, truncated, len) =
+    let path = trace_file dir ~pid ~tid in
+    let sc = scan_trace ~version path in
+    let outcome =
+      match sc.sc_issue with
+      | Some reason -> Error reason
+      | None ->
+        if Tracer.stream_events sc.sc_stream <> len then
+          Error
+            (Printf.sprintf "trace length mismatch (manifest %d, decoded %d)" len
+               (Tracer.stream_events sc.sc_stream))
+        else (
+          (* a clean scan already verified completeness, but never let a
+             decoder refusal escape as an exception *)
+          match Tracer.stream_finish sc.sc_stream ~pid ~tid ~truncated with
+          | tr -> Ok tr
+          | exception Invalid_argument _ -> Error "incomplete event stream")
+    in
+    match outcome with
+    | Ok tr -> T_ok tr
+    | Error reason when salvage ->
+      let tr = Tracer.stream_salvage sc.sc_stream ~pid ~tid in
+      T_salvaged
+        ( tr,
+          { sv_pid = pid;
+            sv_tid = tid;
+            sv_events = Trace.length tr;
+            sv_dropped_bytes = sc.sc_size - sc.sc_consumed;
+            sv_reason = reason } )
+    | Error reason -> T_err { err_path = path; err_reason = reason }
+
+  let load ?(runner = sequential_runner) ?(salvage = false) ~dir () =
+    match read_manifest dir with
+    | Error e -> Error e
+    | Ok m -> (
+      let symtab = Symtab.create () in
+      List.iter (fun name -> ignore (Symtab.intern symtab name)) m.m_symbols;
+      let threads = Array.of_list m.m_threads in
+      let outcomes =
+        runner.run (Array.length threads) (fun i ->
+            load_thread ~version:m.m_version ~salvage dir threads.(i))
+      in
+      let err =
+        Array.fold_left
+          (fun acc o ->
+            match (acc, o) with Some _, _ -> acc | None, T_err e -> Some e | None, _ -> None)
+          None outcomes
+      in
+      match err with
+      | Some e -> Error e
+      | None ->
+        let traces =
+          Array.to_list
+            (Array.map
+               (function
+                 | T_ok tr | T_salvaged (tr, _) -> tr | T_err _ -> assert false)
+               outcomes)
+        in
+        let salvaged =
+          Array.to_list outcomes
+          |> List.filter_map (function T_salvaged (_, s) -> Some s | _ -> None)
+        in
+        Ok
+          { set = Trace_set.create symtab traces;
+            version = m.m_version;
+            salvaged })
+end
+
+(* The event-DB index decoder over tuple-returning [Varint.read]. *)
+module Eventdb = struct
+  module Fresh_event = Event
+  open Difftrace_eventdb.Eventdb
+  module Event = Fresh_event
+  module Framing = Difftrace_eventdb.Framing
+  module Intervals = Difftrace_eventdb.Intervals
+
+  let tag_symbol = 1
+  let tag_body = 2
+  let tag_thread = 3
+  let tag_postings = 4
+  let tag_intervals = 5
+  let tag_loops = 6
+
+  exception Bad of string
+
+  let bad fmt = Printf.ksprintf (fun s -> raise (Bad s)) fmt
+  let index_file ~dir ~digest = Filename.concat dir (digest ^ ".edb")
+
+  let read_elems s pos =
+    let n, pos = Varint.read s pos in
+    let pos = ref pos in
+    let elems =
+      Array.init n (fun _ ->
+          let kind, p = Varint.read s !pos in
+          match kind with
+          | 0 ->
+            let id, p = Varint.read s p in
+            pos := p;
+            Nlr.Sym id
+          | 1 ->
+            let body, p = Varint.read s p in
+            let count, p = Varint.read s p in
+            pos := p;
+            Nlr.Loop { body; count }
+          | k -> bad "unknown element kind %d" k)
+    in
+    (elems, !pos)
+
+  type partial = {
+    mutable p_truncated : bool;
+    mutable p_events : Event.t array;
+    mutable p_postings : (int * int array) list;
+    mutable p_intervals : Intervals.t array;
+    mutable p_loops : loop_span array;
+  }
+
+  let decode ~digest payloads =
+    let symtab = Symtab.create () in
+    let table = Nlr.Loop_table.create () in
+    let threads = ref [] in
+    (* (pid, tid) in record order *)
+    let partials = Hashtbl.create 8 in
+    let nth ti =
+      match Hashtbl.find_opt partials ti with
+      | Some p -> p
+      | None -> bad "postings/intervals for unknown thread %d" ti
+    in
+    List.iter
+      (fun s ->
+        if String.length s = 0 then bad "empty record";
+        let tag = Char.code s.[0] in
+        let pos = 1 in
+        if tag = tag_symbol then
+          ignore (Symtab.intern symtab (String.sub s 1 (String.length s - 1)))
+        else if tag = tag_body then begin
+          let elems, pos = read_elems s pos in
+          if pos <> String.length s then bad "trailing bytes in body record";
+          ignore (Nlr.Loop_table.intern table elems)
+        end
+        else if tag = tag_thread then begin
+          let pid, pos = Varint.read s pos in
+          let tid, pos = Varint.read s pos in
+          let trunc, pos = Varint.read s pos in
+          let n, pos = Varint.read s pos in
+          let pos = ref pos in
+          let events =
+            Array.init n (fun _ ->
+                let e, p = Varint.read s !pos in
+                pos := p;
+                Event.decode e)
+          in
+          if !pos <> String.length s then bad "trailing bytes in thread record";
+          let p =
+            { p_truncated = trunc <> 0;
+              p_events = events;
+              p_postings = [];
+              p_intervals = [||];
+              p_loops = [||] }
+          in
+          Hashtbl.replace partials (List.length !threads) p;
+          threads := (pid, tid) :: !threads
+        end
+        else if tag = tag_postings then begin
+          let ti, pos = Varint.read s pos in
+          let func, pos = Varint.read s pos in
+          let n, pos = Varint.read s pos in
+          let pos = ref pos in
+          let prev = ref 0 in
+          let positions =
+            Array.init n (fun _ ->
+                let d, p = Varint.read s !pos in
+                pos := p;
+                prev := !prev + d;
+                !prev)
+          in
+          if !pos <> String.length s then bad "trailing bytes in postings record";
+          if func >= Symtab.size symtab then bad "postings for unknown function";
+          let p = nth ti in
+          p.p_postings <- (func, positions) :: p.p_postings
+        end
+        else if tag = tag_intervals then begin
+          let ti, pos = Varint.read s pos in
+          let n, pos = Varint.read s pos in
+          let pos = ref pos in
+          let prev = ref 0 in
+          let ivs =
+            Array.init n (fun _ ->
+                let func, p = Varint.read s !pos in
+                let dstart, p = Varint.read s p in
+                let len, p = Varint.read s p in
+                let depth, p = Varint.read s p in
+                let caller1, p = Varint.read s p in
+                pos := p;
+                prev := !prev + dstart;
+                { Intervals.iv_func = func;
+                  iv_start = !prev;
+                  iv_stop = !prev + len;
+                  iv_depth = depth;
+                  iv_caller = caller1 - 1 })
+          in
+          if !pos <> String.length s then bad "trailing bytes in interval record";
+          (nth ti).p_intervals <- ivs
+        end
+        else if tag = tag_loops then begin
+          let ti, pos = Varint.read s pos in
+          let n, pos = Varint.read s pos in
+          let pos = ref pos in
+          let spans =
+            Array.init n (fun _ ->
+                let body, p = Varint.read s !pos in
+                let count, p = Varint.read s p in
+                let start, p = Varint.read s p in
+                let len, p = Varint.read s p in
+                pos := p;
+                if body >= Nlr.Loop_table.size table then
+                  bad "span for unknown loop body";
+                { lp_body = body; lp_count = count; lp_start = start;
+                  lp_stop = start + len })
+          in
+          if !pos <> String.length s then bad "trailing bytes in loop record";
+          (nth ti).p_loops <- spans
+        end
+        else bad "unknown record tag %d" tag)
+      payloads;
+    let n_funcs = Symtab.size symtab in
+    let ids = Array.of_list (List.rev !threads) in
+    let threads =
+      Array.mapi
+        (fun ti (pid, tid) ->
+          let p = Hashtbl.find partials ti in
+          let postings = Array.make n_funcs [||] in
+          List.iter (fun (func, ps) -> postings.(func) <- ps) p.p_postings;
+          { th_pid = pid;
+            th_tid = tid;
+            th_truncated = p.p_truncated;
+            th_events = p.p_events;
+            th_postings = postings;
+            th_intervals = p.p_intervals;
+            th_loops = p.p_loops })
+        ids
+    in
+    { db_digest = digest; db_symtab = symtab; db_table = table;
+      db_threads = threads }
+
+  let load ~dir ~digest =
+    let path = index_file ~dir ~digest in
+    if not (Sys.file_exists path) then Error "no index"
+    else
+      match Framing.read_file path with
+      | exception Sys_error reason -> Error reason
+      | image -> (
+        match Framing.scan image with
+        | Error reason -> Error reason
+        | Ok payloads -> (
+          match decode ~digest payloads with
+          | db ->
+            Ok db
+          | exception Bad reason -> Error reason
+          | exception Invalid_argument reason -> Error reason))
+end

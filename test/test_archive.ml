@@ -413,6 +413,136 @@ let test_v1_length_mismatch () =
       (String.length e.Archive.err_reason >= 21
       && String.sub e.Archive.err_reason 0 21 = "trace length mismatch")
 
+(* Rewrite thread [i]'s manifest event count to [len], recomputing the
+   v2 footer so the tampered count passes the manifest checksum. *)
+let tamper_length dir ~i ~len =
+  let path = Archive.manifest_file dir in
+  let text = read_file path in
+  let v2 = String.sub text 0 20 = "difftrace-archive 2\n" in
+  let footer = String.length "crc 00000000\n" in
+  let body = if v2 then String.sub text 0 (String.length text - footer) else text in
+  let k = ref (-1) in
+  let body =
+    String.split_on_char '\n' body
+    |> List.map (fun line ->
+           match String.split_on_char ' ' line with
+           | [ "thread"; pid; tid; status; _ ] ->
+             incr k;
+             if !k = i then String.concat " " [ "thread"; pid; tid; status; string_of_int len ]
+             else line
+           | _ -> line)
+    |> String.concat "\n"
+  in
+  write_file path
+    (if v2 then body ^ Printf.sprintf "crc %08x\n" (Difftrace_util.Crc32.string body)
+     else body)
+
+(* A manifest claiming a huge event count: the decoder presizes from the
+   count, so it must cap the presize and still report the mismatch (or
+   salvage the clean prefix), never raise. *)
+let test_huge_manifest_length () =
+  let ts = sample_traces () in
+  let tr0 = (Trace_set.traces ts).(0) in
+  let n = Trace.length tr0 in
+  List.iter
+    (fun (format, tag) ->
+      List.iter
+        (fun len ->
+          let ctx = Printf.sprintf "%s, length %d" tag len in
+          let dir = make_archive ~format ("huge_len_" ^ tag) ts in
+          tamper_length dir ~i:0 ~len;
+          let reason =
+            Printf.sprintf "trace length mismatch (manifest %d, decoded %d)" len n
+          in
+          (match Archive.load ~dir () with
+          | Ok _ -> Alcotest.fail (ctx ^ ": mismatch went undetected")
+          | Error e -> Alcotest.(check string) (ctx ^ ": strict") reason e.Archive.err_reason
+          | exception e -> Alcotest.fail (ctx ^ ": strict load raised " ^ Printexc.to_string e));
+          match Archive.load ~salvage:true ~dir () with
+          | Error e -> Alcotest.fail (ctx ^ ": " ^ Archive.error_to_string e)
+          | exception e -> Alcotest.fail (ctx ^ ": salvage raised " ^ Printexc.to_string e)
+          | Ok l ->
+            Alcotest.(check (list (pair int string)))
+              (ctx ^ ": salvage record")
+              [ (n, reason) ]
+              (List.map (fun s -> (s.Archive.sv_events, s.Archive.sv_reason)) l.Archive.salvaged);
+            let got = Trace_set.find_exn l.Archive.set ~pid:tr0.Trace.pid ~tid:tr0.Trace.tid in
+            Alcotest.(check bool) (ctx ^ ": clean prefix kept") true
+              (got.Trace.events = tr0.Trace.events && got.Trace.truncated))
+        [ max_int; 1 lsl 60; n + 1 ])
+    [ (Archive.V1, "v1"); (Archive.V2, "v2") ]
+
+(* --- the replaced archive read path as an oracle -------------------- *)
+
+let loaded_view = function
+  | Error (e : Archive.error) -> Error e
+  | Ok (l : Archive.loaded) ->
+    let dump ts =
+      Array.to_list (Trace_set.traces ts)
+      |> List.map (fun tr ->
+             (tr.Trace.pid, tr.Trace.tid, tr.Trace.truncated, tr.Trace.events))
+    in
+    Ok (Symtab.names (Trace_set.symtab l.Archive.set), dump l.Archive.set,
+        l.Archive.version, l.Archive.salvaged)
+
+(* one archive mutation, applied through the file system *)
+type mutation =
+  | Set_byte of int * int * char  (** trace file, offset, new byte *)
+  | Truncate of int * int
+  | Append of int * string
+  | Delete of int
+  | Length of int * int  (** thread, new manifest count *)
+
+let apply_mutation dir m =
+  let files = Array.of_list (trace_paths dir) in
+  let file i = files.(i mod Array.length files) in
+  let size p = String.length (read_file p) in
+  if Array.length files > 0 then
+    match m with
+    | Set_byte (f, at, c) ->
+      let p = file f in
+      if size p > 0 then begin
+        let b = Bytes.of_string (read_file p) in
+        Bytes.set b (at mod Bytes.length b) c;
+        write_file p (Bytes.to_string b)
+      end
+    | Truncate (f, keep) ->
+      let p = file f in
+      truncate_file p ~keep:(keep mod (size p + 1))
+    | Append (f, tail) -> write_file (file f) (read_file (file f) ^ tail)
+    | Delete f -> Sys.remove (file f)
+    | Length (i, len) -> tamper_length dir ~i:(i mod Array.length files) ~len
+
+let mutation_gen =
+  QCheck2.Gen.(
+    let* f = int_range 0 7 in
+    let* at = int_range 0 100_000 in
+    oneof
+      [ map (fun c -> Set_byte (f, at, c)) char;
+        map (fun c -> Set_byte (f, at, c)) (map Char.chr (int_range 0x80 0xff));
+        return (Truncate (f, at));
+        map (fun t -> Append (f, t)) (string_size (int_range 1 10));
+        return (Delete f);
+        map (fun len -> Length (f, len))
+          (oneof [ int_range 0 600; oneofl [ max_int; 1 lsl 60 ] ]) ])
+
+let prop_load_matches_oracle =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:200
+       ~name:"load = oracle load on mutated v1/v2 archives (strict and salvage)"
+       QCheck2.Gen.(
+         quad (int_range 1 10_000) bool (oneofl [ 1; 3; 32; 4096 ])
+           (list_size (int_range 0 3) mutation_gen))
+       (fun (seed, v1, chunk_size, mutations) ->
+         let format = if v1 then Archive.V1 else Archive.V2 in
+         let dir = make_archive ~format ~chunk_size "oracle_load" (random_set seed) in
+         List.iter (apply_mutation dir) mutations;
+         List.for_all
+           (fun salvage ->
+             loaded_view (Archive.load ~salvage ~dir ())
+             = loaded_view (Oracles.Archive.load ~salvage ~dir ()))
+           [ false; true ]))
+
 (* ------------------------------------------------------------------ *)
 (* Stack trees                                                         *)
 (* ------------------------------------------------------------------ *)
@@ -692,7 +822,10 @@ let () =
           Alcotest.test_case "v1 length mismatch" `Quick test_v1_length_mismatch;
           Alcotest.test_case "empty stream input" `Quick test_stream_empty_input;
           Alcotest.test_case "zero-byte trace file" `Quick
-            test_zero_byte_trace_file ] );
+            test_zero_byte_trace_file;
+          Alcotest.test_case "huge manifest length" `Quick
+            test_huge_manifest_length;
+          prop_load_matches_oracle ] );
       ( "stacktree",
         [ Alcotest.test_case "final stack" `Quick test_final_stack_reconstruction;
           Alcotest.test_case "balanced stack" `Quick test_final_stack_balanced;

@@ -262,6 +262,109 @@ let test_open_warm () =
   Alcotest.(check bool) "cold build" true (first = `Built);
   Alcotest.(check bool) "warm load" true (second = `Loaded)
 
+(* --- the replaced index decoder as an oracle ----------------------- *)
+
+module Framing = Difftrace_eventdb.Framing
+module Nlr = Difftrace_nlr.Nlr
+
+let db_view = function
+  | Error (m : string) -> Error m
+  | Ok (db : Eventdb.t) ->
+    let table = db.Eventdb.db_table in
+    Ok
+      ( db.Eventdb.db_digest,
+        Symtab.names db.Eventdb.db_symtab,
+        List.init (Nlr.Loop_table.size table) (Nlr.Loop_table.body table),
+        Array.map
+          (fun (th : Eventdb.thread) ->
+            ( (th.Eventdb.th_pid, th.Eventdb.th_tid, th.Eventdb.th_truncated),
+              th.Eventdb.th_events,
+              th.Eventdb.th_postings,
+              th.Eventdb.th_intervals,
+              th.Eventdb.th_loops ))
+          db.Eventdb.db_threads )
+
+let saved_index ~recipe ~np ~seed name =
+  let dir = tmpdir name in
+  let db = Eventdb.build (random_traces ~recipe ~np ~seed) in
+  (match Eventdb.save ~dir db with Ok () -> () | Error m -> failwith m);
+  (dir, db.Eventdb.db_digest)
+
+let loads_agree ~dir ~digest =
+  db_view (Eventdb.load ~dir ~digest) = db_view (Oracles.Eventdb.load ~dir ~digest)
+
+let prop_load_matches_oracle =
+  qtest ~count:20 "load = oracle load on random trace sets" recipe_gen
+    (fun (recipe, np, seed) ->
+      let dir, digest = saved_index ~recipe ~np ~seed "oracle_load" in
+      (match Eventdb.load ~dir ~digest with Ok _ -> true | Error _ -> false)
+      && loads_agree ~dir ~digest)
+
+(* Damage either the file's bytes (caught by the framing) or one record
+   of a chosen kind, re-framed with a valid checksum so the record
+   decoder itself sees it: one to three byte edits, or the record
+   dropped or duplicated. Replacement bytes stay below 0x80, so a
+   damaged count is never longer than the varints around it and the
+   oracle's unsized allocations stay small. *)
+let byte_edit =
+  QCheck2.Gen.(
+    let* kind = int_range 0 2 in
+    let* at = int_range 0 1_000_000 in
+    let* byte = map Char.chr (int_range 0 0x7f) in
+    let* tail = string_size ~gen:(map Char.chr (int_range 0 0x7f)) (int_range 1 6) in
+    return (fun s ->
+        let n = String.length s in
+        match kind with
+        | 0 when n > 0 -> String.mapi (fun i c -> if i = at mod n then byte else c) s
+        | 1 -> String.sub s 0 (at mod (n + 1))
+        | _ -> s ^ tail))
+
+let index_mutation =
+  QCheck2.Gen.(
+    let* target = int_range 0 7 in
+    let* nth = int_range 0 1_000 in
+    let* edits = list_size (int_range 1 3) byte_edit in
+    let edit s = List.fold_left (fun s f -> f s) s edits in
+    return (fun image ->
+        match (target, Framing.scan image) with
+        | 0, _ | _, Error _ -> edit image
+        | _, Ok payloads ->
+          (* records of tag [target] (1..6), or any record for 7 *)
+          let picked =
+            List.filter
+              (fun p -> target = 7 || (p <> "" && Char.code p.[0] = target))
+              payloads
+          in
+          let victim =
+            if picked = [] then "" else List.nth picked (nth mod List.length picked)
+          in
+          let payloads =
+            List.concat_map
+              (fun p ->
+                if p != victim then [ p ]
+                else
+                  match nth mod 8 with
+                  | 0 -> []
+                  | 1 -> [ p; p ]
+                  | _ -> [ edit p ])
+              payloads
+          in
+          let b = Buffer.create (String.length image) in
+          Buffer.add_string b Framing.magic;
+          List.iter (Framing.add_record b) payloads;
+          Buffer.contents b))
+
+let prop_mutated_load_matches_oracle =
+  qtest ~count:300 "load = oracle load on mutated index files"
+    QCheck2.Gen.(pair recipe_gen (list_size (int_range 1 3) index_mutation))
+    (fun ((recipe, np, seed), mutations) ->
+      let dir, digest = saved_index ~recipe ~np ~seed "oracle_mutated" in
+      let path = Filename.concat dir (digest ^ ".edb") in
+      let image = In_channel.with_open_bin path In_channel.input_all in
+      let damaged = List.fold_left (fun s f -> f s) image mutations in
+      Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc damaged);
+      loads_agree ~dir ~digest)
+
 (* --- query semantics pinned on a deterministic workload -------------- *)
 
 let test_between_markers () =
@@ -362,7 +465,9 @@ let () =
             test_save_load_roundtrip;
           Alcotest.test_case "corrupt index rebuilds" `Quick
             test_corrupt_index_rebuilds;
-          Alcotest.test_case "warm open loads" `Quick test_open_warm ] );
+          Alcotest.test_case "warm open loads" `Quick test_open_warm;
+          prop_load_matches_oracle;
+          prop_mutated_load_matches_oracle ] );
       ( "query",
         [ Alcotest.test_case "between markers" `Quick test_between_markers;
           Alcotest.test_case "under function" `Quick test_under_function;

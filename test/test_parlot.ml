@@ -98,6 +98,206 @@ let prop_lzw_roundtrip_binary =
     (fun s -> Lzw.decompress (Lzw.compress s) = s)
 
 (* ------------------------------------------------------------------ *)
+(* Codec oracles: the flat-table LZW codec and the in-place event
+   stream against the implementations they replaced, in [Oracles]    *)
+(* ------------------------------------------------------------------ *)
+
+module Gen = QCheck2.Gen
+
+(* random bytes, a small alphabet, and the low-entropy inputs whose
+   decoding leans on the KwKwK rule: single-byte runs and short
+   repeated patterns *)
+let codec_input =
+  Gen.(
+    oneof
+      [ string_size (int_range 0 300);
+        string_size ~gen:(char_range 'a' 'c') (int_range 0 600);
+        map2 (fun c n -> String.make n c) char (int_range 0 2000);
+        map2
+          (fun pat n -> String.concat "" (List.init n (fun _ -> pat)))
+          (string_size ~gen:(char_range 'a' 'd') (int_range 1 5))
+          (int_range 0 300) ])
+
+(* [s] cut into consecutive slices whose sizes cycle through [sizes] *)
+let slices sizes s =
+  let sizes = Array.of_list (if sizes = [] then [ 1 ] else sizes) in
+  let rec go pos i acc =
+    if pos >= String.length s then List.rev acc
+    else
+      let n = min sizes.(i mod Array.length sizes) (String.length s - pos) in
+      go (pos + n) (i + 1) (String.sub s pos n :: acc)
+  in
+  go 0 0 []
+
+let slice_sizes = Gen.(list_size (int_range 1 6) (int_range 1 40))
+
+(* one corruption of a compressed stream: truncation, a replaced byte,
+   appended bytes, or an over-long run of continuation bytes (0x80 runs
+   add no value bits, so only the shift bound catches them) *)
+let corrupt =
+  Gen.(
+    let* kind = int_range 0 3 in
+    let* at = int_range 0 10_000 in
+    let* byte = map Char.chr (int_range 0 255) in
+    let* tail = string_size (int_range 1 12) in
+    let* cont = oneofl [ '\x80'; '\xff' ] in
+    let* run = int_range 8 12 in
+    return (fun s ->
+        let n = String.length s in
+        let at = if n = 0 then 0 else at mod n in
+        match kind with
+        | 0 -> String.sub s 0 at
+        | 1 when n > 0 -> String.mapi (fun i c -> if i = at then byte else c) s
+        | 1 | 2 -> s ^ tail
+        | _ -> String.sub s 0 at ^ String.make run cont ^ String.sub s at (n - at)))
+
+(* everything a decoder emitted, fed slice by slice and drained after
+   every feed, then how it ended *)
+let decoder_outcome ~feed ~take ~finish pieces =
+  let out = Buffer.create 256 in
+  let ending =
+    match
+      List.iter
+        (fun p ->
+          feed p;
+          Buffer.add_string out (take ()))
+        pieces;
+      finish ()
+    with
+    | rest ->
+      Buffer.add_string out rest;
+      Ok ()
+    | exception Invalid_argument m ->
+      Buffer.add_string out (take ());
+      Error m
+  in
+  (Buffer.contents out, ending)
+
+let new_decoder_outcome pieces =
+  let d = Lzw.decoder () in
+  decoder_outcome ~feed:(Lzw.decode_feed d)
+    ~take:(fun () -> Lzw.decode_take d)
+    ~finish:(fun () -> Lzw.decode_finish d)
+    pieces
+
+let oracle_decoder_outcome pieces =
+  let d = Oracles.Lzw.decoder () in
+  decoder_outcome ~feed:(Oracles.Lzw.decode_feed d)
+    ~take:(fun () -> Oracles.Lzw.decode_take d)
+    ~finish:(fun () -> Oracles.Lzw.decode_finish d)
+    pieces
+
+let prop_lzw_encoder_oracle =
+  qtest "lzw encoder = oracle" ~count:300 codec_input (fun s ->
+      Lzw.compress s = Oracles.Lzw.compress s)
+
+let prop_lzw_feed_varint_oracle =
+  qtest "lzw feed_varint = oracle feed of the varint bytes" ~count:200
+    Gen.(list_size (int_range 0 300) (oneof [ int_range 0 40; int_range 0 100_000 ]))
+    (fun codes ->
+      let e = Lzw.encoder () and o = Oracles.Lzw.encoder () in
+      List.iter
+        (fun n ->
+          Lzw.feed_varint e n;
+          let b = Buffer.create 4 in
+          Oracles.Varint.write b n;
+          Oracles.Lzw.feed_string o (Buffer.contents b))
+        codes;
+      Lzw.output_size e = Oracles.Lzw.output_size o
+      && Lzw.input_size e = Oracles.Lzw.input_size o
+      && Lzw.finish e = Oracles.Lzw.finish o)
+
+let prop_lzw_decoder_oracle =
+  qtest "lzw decompress = oracle, fed in random slices" ~count:300
+    Gen.(pair codec_input slice_sizes)
+    (fun (s, sizes) ->
+      let c = Oracles.Lzw.compress s in
+      let pieces = slices sizes c in
+      Lzw.decompress c = s
+      && new_decoder_outcome pieces = oracle_decoder_outcome pieces)
+
+(* the zero-copy view drains the same bytes as [decode_take] *)
+let prop_lzw_output_view =
+  qtest "lzw decode_output view = decode_take" ~count:100
+    Gen.(pair codec_input slice_sizes)
+    (fun (s, sizes) ->
+      let d = Lzw.decoder () in
+      let out = Buffer.create 64 in
+      List.iter
+        (fun p ->
+          Lzw.decode_feed d p;
+          Buffer.add_subbytes out (Lzw.decode_output d) 0 (Lzw.decode_output_length d);
+          Lzw.decode_clear d)
+        (slices sizes (Lzw.compress s));
+      Buffer.contents out = s && Lzw.decode_finish d = "")
+
+let prop_lzw_corrupt_oracle =
+  qtest "lzw on corrupt streams: same error, same bytes decoded" ~count:500
+    Gen.(triple codec_input slice_sizes corrupt)
+    (fun (s, sizes, corrupt) ->
+      let pieces = slices sizes (corrupt (Oracles.Lzw.compress s)) in
+      new_decoder_outcome pieces = oracle_decoder_outcome pieces)
+
+(* A streaming event decoder's observable run: the event count after
+   each feed, the first failure, and the trace a finish (or, after a
+   failure, a salvage) returns. *)
+module type STREAM = sig
+  type stream
+
+  val stream_feed : stream -> string -> unit
+  val stream_events : stream -> int
+  val stream_complete : stream -> bool
+  val stream_finish : stream -> pid:int -> tid:int -> truncated:bool -> Trace.t
+  val stream_salvage : stream -> pid:int -> tid:int -> Trace.t
+end
+
+let stream_outcome (type s) (module S : STREAM with type stream = s) (st : s) pieces =
+  let counts = ref [] in
+  let failure =
+    match
+      List.iter
+        (fun p ->
+          S.stream_feed st p;
+          counts := S.stream_events st :: !counts)
+        pieces
+    with
+    | () -> None
+    | exception Invalid_argument m -> Some (m, S.stream_events st)
+  in
+  let ending =
+    match failure with
+    | Some _ -> Error (S.stream_salvage st ~pid:1 ~tid:2)
+    | None -> (
+      let complete = S.stream_complete st in
+      match S.stream_finish st ~pid:1 ~tid:2 ~truncated:false with
+      | tr -> Ok (complete, tr)
+      | exception Invalid_argument _ -> Error (S.stream_salvage st ~pid:1 ~tid:2))
+  in
+  (List.rev !counts, failure, ending)
+
+(* decoded payloads: event varints, sometimes with stray continuation
+   bytes so event varints overflow or end mid-event *)
+let event_payload =
+  Gen.(
+    let* codes = list_size (int_range 0 200) (oneof [ int_range 0 60; int_range 0 70_000 ]) in
+    let* junk = oneof [ return ""; string_size ~gen:(map Char.chr (int_range 0x80 0xff)) (int_range 1 12) ] in
+    let b = Buffer.create 64 in
+    List.iter (Oracles.Varint.write b) codes;
+    return (List.length codes, Buffer.contents b ^ junk))
+
+let prop_stream_oracle =
+  qtest "tracer stream = oracle on intact and corrupt streams" ~count:400
+    Gen.(quad event_payload slice_sizes (opt corrupt) (int_range 0 3))
+    (fun ((n, payload), sizes, corrupt, hint) ->
+      let c = Oracles.Lzw.compress payload in
+      let c = match corrupt with Some f -> f c | None -> c in
+      let pieces = slices sizes c in
+      (* presize below, at and above the true count, or not at all *)
+      let expected = match hint with 0 -> 0 | 1 -> n / 2 | 2 -> n | _ -> n + 7 in
+      stream_outcome (module Tracer) (Tracer.stream ~expected ()) pieces
+      = stream_outcome (module Oracles.Tracer) (Oracles.Tracer.stream ()) pieces)
+
+(* ------------------------------------------------------------------ *)
 (* Tracer                                                              *)
 (* ------------------------------------------------------------------ *)
 
@@ -216,6 +416,13 @@ let () =
             test_lzw_decoder_streaming_parity;
           prop_lzw_roundtrip;
           prop_lzw_roundtrip_binary ] );
+      ( "oracle",
+        [ prop_lzw_encoder_oracle;
+          prop_lzw_feed_varint_oracle;
+          prop_lzw_decoder_oracle;
+          prop_lzw_output_view;
+          prop_lzw_corrupt_oracle;
+          prop_stream_oracle ] );
       ( "tracer",
         [ Alcotest.test_case "records and decodes" `Quick test_tracer_records_and_decodes;
           Alcotest.test_case "image filter" `Quick test_tracer_image_filter;

@@ -41,6 +41,18 @@ let prop_event_codec =
       return (if call then Event.Call id else Event.Return id))
     (fun e -> Event.equal e (Event.decode (Event.encode e)))
 
+(* shared decodes are structurally the fresh-allocating oracle's, on
+   both sides of the shared table's bound *)
+let prop_event_decode_oracle =
+  qtest "event decode = fresh oracle decode"
+    QCheck2.Gen.(
+      oneof
+        [ int_range (-2) 5000;
+          oneofl [ 4095; 4096; 4097 ];
+          int_range 0 max_int;
+          int_range min_int 0 ])
+    (fun n -> Event.decode n = Oracles.Event.decode n)
+
 let mk_trace ?(pid = 0) ?(tid = 0) ?(truncated = false) evs =
   Trace.make ~pid ~tid ~truncated (Array.of_list evs)
 
@@ -98,7 +110,9 @@ let () =
     [ ( "symtab",
         [ Alcotest.test_case "intern" `Quick test_symtab_intern ] );
       ( "event",
-        [ Alcotest.test_case "basics" `Quick test_event_basics; prop_event_codec ] );
+        [ Alcotest.test_case "basics" `Quick test_event_basics;
+          prop_event_codec;
+          prop_event_decode_oracle ] );
       ( "trace",
         [ Alcotest.test_case "call_ids" `Quick test_trace_call_ids;
           Alcotest.test_case "labels" `Quick test_trace_label ] );

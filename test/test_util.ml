@@ -234,6 +234,49 @@ let prop_varint_list =
       let l', _ = Varint.read_list (Buffer.contents b) 0 in
       l = l')
 
+(* the loop-based [write] and the cursor reader against the closure-
+   based originals in [Oracles.Varint] *)
+let prop_varint_write_oracle =
+  qtest "varint write = oracle"
+    QCheck2.Gen.(
+      oneof [ int_range 0 300; int_range 0 max_int; oneofl [ 0; 127; 128; max_int ] ])
+    (fun n ->
+      let a = Buffer.create 8 and b = Buffer.create 8 in
+      Varint.write a n;
+      Oracles.Varint.write b n;
+      Buffer.contents a = Buffer.contents b)
+
+(* read values from [pos] until the input ends or a read fails: the
+   values, the position after each, and the failure *)
+let read_all read s pos =
+  let rec go pos acc =
+    if pos >= String.length s then (List.rev acc, None)
+    else
+      match read s pos with
+      | v, p -> go p ((v, p) :: acc)
+      | exception Invalid_argument m -> (List.rev acc, Some m)
+  in
+  go pos []
+
+let prop_varint_cursor_oracle =
+  qtest "varint cursor = oracle read on arbitrary bytes" ~count:500
+    QCheck2.Gen.(
+      pair
+        (string_size
+           ~gen:(oneof [ char; map Char.chr (int_range 0x80 0xff) ])
+           (int_range 0 40))
+        (int_range 0 3))
+    (fun (s, pos) ->
+      let cursor s pos =
+        let c = Varint.cursor ~pos s in
+        let before = Varint.remaining c in
+        let v = Varint.next c in
+        assert (Varint.remaining c = before - (c.Varint.pos - pos));
+        (v, c.Varint.pos)
+      in
+      read_all cursor s pos = read_all Oracles.Varint.read s pos
+      && read_all Varint.read s pos = read_all Oracles.Varint.read s pos)
+
 (* ------------------------------------------------------------------ *)
 (* Prng                                                                *)
 (* ------------------------------------------------------------------ *)
@@ -342,7 +385,9 @@ let () =
           Alcotest.test_case "truncated input" `Quick test_varint_truncated;
           Alcotest.test_case "overflow rejected" `Quick test_varint_overflow;
           prop_varint_roundtrip;
-          prop_varint_list ] );
+          prop_varint_list;
+          prop_varint_write_oracle;
+          prop_varint_cursor_oracle ] );
       ( "crc32",
         [ Alcotest.test_case "check vectors" `Quick test_crc32_vectors;
           Alcotest.test_case "incremental" `Quick test_crc32_incremental;
