@@ -66,11 +66,16 @@ vdiff-smoke: build
 
 # the fault-injection corpora on their own: deterministic bit flips,
 # truncations, chunk deletions and garbage appends against v1/v2
-# archives (see test/test_archive.ml, "resilience" suite), then the
-# same mutation battery against the ingestion frontends through the
-# conformance checker (scripts/frontend_fuzz.sh)
+# archives (see test/test_archive.ml, "resilience" suite), the damaged
+# analysis-store and event-DB index files checked against their
+# oracles (the "corruption" and "persistence" suites; all three file
+# kinds share lib/util/framing.ml), then the same mutation battery
+# against the ingestion frontends through the conformance checker
+# (scripts/frontend_fuzz.sh)
 fuzz-smoke: build
 	dune exec test/test_archive.exe -- test resilience
+	dune exec test/test_store.exe -- test corruption
+	dune exec test/test_eventdb.exe -- test persistence
 	sh scripts/frontend_fuzz.sh
 
 # the frontend smoke pass: ingest + compare the checked-in CI-log and

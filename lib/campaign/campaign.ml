@@ -9,7 +9,7 @@ module Runtime = Difftrace_simulator.Runtime
 module Archive = Difftrace_parlot.Archive
 module Trace = Difftrace_trace.Trace
 module Trace_set = Difftrace_trace.Trace_set
-module Crc32 = Difftrace_util.Crc32
+module Framing = Difftrace_util.Framing
 module Eventdb = Difftrace_eventdb.Eventdb
 module Telemetry = Difftrace_obs.Telemetry
 module Span = Telemetry.Span
@@ -278,17 +278,6 @@ let rec mkdir_p dir =
       | exception Sys_error reason -> Error reason)
   end
 
-(* atomic-enough replacement: write a sibling temp file, then rename
-   over the target, so an interrupted campaign never leaves a
-   half-written manifest (the CRC footer catches anything else) *)
-let write_file_atomic path contents =
-  let tmp = path ^ ".tmp" in
-  let oc = open_out_bin tmp in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc contents);
-  Sys.rename tmp path
-
 (* ------------------------------------------------------------------ *)
 (* Per-cell run metadata (beside the cell's archive)                   *)
 (* ------------------------------------------------------------------ *)
@@ -300,29 +289,17 @@ let write_meta adir ~deadlocked ~timed_out =
   let body =
     Printf.sprintf "deadlocked %d\ntimed_out %b\n" deadlocked timed_out
   in
-  write_file_atomic (meta_file adir)
-    (body ^ Printf.sprintf "crc %08x\n" (Crc32.string body))
+  Framing.write_atomic ~path:(meta_file adir) (Framing.seal body)
 
 let read_meta adir =
   let path = meta_file adir in
   if not (Sys.file_exists path) then None
   else
     try
-      let ic = open_in_bin path in
-      let text =
-        Fun.protect
-          ~finally:(fun () -> close_in ic)
-          (fun () -> really_input_string ic (in_channel_length ic))
-      in
-      let crc_len = String.length "crc 00000000\n" in
-      if String.length text <= crc_len then None
-      else
-        let body = String.sub text 0 (String.length text - crc_len) in
-        let footer = String.sub text (String.length text - crc_len) crc_len in
-        let crc = Scanf.sscanf footer "crc %x" (fun c -> c) in
-        if Crc32.string body <> crc then None
-        else
-          Scanf.sscanf body "deadlocked %d timed_out %b" (fun d t -> Some (d, t))
+      match Framing.unseal (Framing.read_file path) with
+      | Error _ -> None
+      | Ok body ->
+        Scanf.sscanf body "deadlocked %d timed_out %b" (fun d t -> Some (d, t))
     with _ -> None (* damaged metadata: fall back to trace truncation flags *)
 
 (* ------------------------------------------------------------------ *)
@@ -387,8 +364,9 @@ let manifest_body m ~config_name results =
 
 let write_manifest ~dir m ~config_name results =
   let body = manifest_body m ~config_name results in
-  write_file_atomic (manifest_file dir)
-    (body ^ Printf.sprintf "crc %08x\n" (Crc32.string body))
+  (* the manifest is replaced atomically, so an interrupted campaign
+     never leaves it half-written (the seal catches anything else) *)
+  Framing.write_atomic ~path:(manifest_file dir) (Framing.seal body)
 
 (* what [status] and resume read back *)
 type stored_cell = {
@@ -459,28 +437,14 @@ let load_manifest ~dir =
   let path = manifest_file dir in
   if not (Sys.file_exists path) then None
   else begin
-    let text =
-      try
-        let ic = open_in_bin path in
-        Fun.protect
-          ~finally:(fun () -> close_in ic)
-          (fun () -> really_input_string ic (in_channel_length ic))
-      with Sys_error _ | End_of_file -> ""
-    in
-    let crc_len = String.length "crc 00000000\n" in
+    let text = try Framing.read_file path with Sys_error _ | End_of_file -> "" in
     (* with a valid footer, parse just the body; without one, parse
        everything we have (the stray footer line is then dropped and
        counted like any other unreadable line) *)
     let body, crc_ok =
-      if String.length text <= crc_len then (text, false)
-      else begin
-        let body = String.sub text 0 (String.length text - crc_len) in
-        let footer = String.sub text (String.length text - crc_len) crc_len in
-        match Scanf.sscanf footer "crc %x" (fun c -> c) with
-        | crc when Crc32.string body = crc -> (body, true)
-        | _ -> (text, false)
-        | exception _ -> (text, false)
-      end
+      match Framing.unseal text with
+      | Ok body -> (body, true)
+      | Error _ -> (text, false)
     in
     let salvaged = ref 0 in
     let drop () = incr salvaged in

@@ -3,7 +3,7 @@ module Context = Difftrace_fca.Context
 module Jsm = Difftrace_cluster.Jsm
 module Sketch = Difftrace_cluster.Sketch
 module Telemetry = Difftrace_obs.Telemetry
-module Crc32 = Difftrace_util.Crc32
+module Framing = Difftrace_util.Framing
 module Symmat = Difftrace_util.Symmat
 module Varint = Difftrace_util.Varint
 
@@ -105,8 +105,7 @@ let object_digest ctx i =
 
 (* {2 Record encoding}
 
-   File = magic line, then records: varint payload length, payload,
-   CRC-32 of the payload (4 LE bytes). Payload byte 0 is the type.
+   File = magic line, then {!Framing} records. Payload byte 0 is the type.
    Write order is symbols, loop bodies, summaries, signatures,
    matrices, vdiffs, so every reference points backwards and a
    salvaged prefix is self-consistent. Signature and vdiff records are
@@ -121,24 +120,6 @@ let tag_matrix = 4
 let tag_signature = 5
 let tag_vdiff = 6
 
-let write_elem buf = function
-  | Nlr.Sym id ->
-    Varint.write buf 0;
-    Varint.write buf id
-  | Nlr.Loop { body; count } ->
-    Varint.write buf 1;
-    Varint.write buf body;
-    Varint.write buf count
-
-let write_elems buf elems =
-  Varint.write buf (Array.length elems);
-  Array.iter (write_elem buf) elems
-
-let add_record buf payload =
-  Varint.write buf (String.length payload);
-  Buffer.add_string buf payload;
-  Buffer.add_string buf (Crc32.to_le_bytes (Crc32.string payload))
-
 let payload_symbol name =
   let b = Buffer.create (1 + String.length name) in
   Buffer.add_char b (Char.chr tag_symbol);
@@ -148,7 +129,7 @@ let payload_symbol name =
 let payload_body elems =
   let b = Buffer.create 64 in
   Buffer.add_char b (Char.chr tag_body);
-  write_elems b elems;
+  Nlr.write_elems b elems;
   Buffer.contents b
 
 let payload_summary ~key ~stamp (nlr : Nlr.t) =
@@ -157,7 +138,7 @@ let payload_summary ~key ~stamp (nlr : Nlr.t) =
   Buffer.add_string b key;
   Varint.write b stamp;
   Varint.write b nlr.input_length;
-  write_elems b nlr.elems;
+  Nlr.write_elems b nlr.elems;
   Buffer.contents b
 
 let payload_matrix (e : matrix_entry) =
@@ -208,46 +189,31 @@ let payload_vdiff ~key (e : vdiff_entry) =
 
 (* {2 Record decoding}
 
-   Decoding validates structure against the running table sizes; any
-   violation is damage, diagnosed by a [Bad_record] that the caller
-   turns into a salvage point. *)
+   Each record is decoded in place, through a cursor bounded by its
+   payload. Decoding validates structure against the running table
+   sizes; any violation raises [Framing.Bad_record], which the scan
+   reports as the salvage point. *)
 
-exception Bad_record of string
+let bad = Framing.bad
 
-let bad fmt = Printf.ksprintf (fun s -> raise (Bad_record s)) fmt
+let read_digest (c : Varint.cursor) =
+  if c.pos + 16 > c.stop then bad "truncated digest";
+  let d = String.sub c.s c.pos 16 in
+  c.pos <- c.pos + 16;
+  d
 
-let read_digest s pos =
-  if pos + 16 > String.length s then bad "truncated digest";
-  (String.sub s pos 16, pos + 16)
+(* a length-prefixed string; [what] names it in the truncation reason *)
+let read_string (c : Varint.cursor) what =
+  let n = Varint.next c in
+  if n > Varint.remaining c then bad "truncated %s" what;
+  let v = String.sub c.s c.pos n in
+  c.pos <- c.pos + n;
+  v
 
-let read_elem ~n_syms ~n_bodies s pos =
-  let tag, pos = Varint.read s pos in
-  match tag with
-  | 0 ->
-    let id, pos = Varint.read s pos in
-    if id >= n_syms then bad "symbol id %d out of range (%d known)" id n_syms;
-    (Nlr.Sym id, pos)
-  | 1 ->
-    let body, pos = Varint.read s pos in
-    let count, pos = Varint.read s pos in
-    if body >= n_bodies then
-      bad "loop body %d out of range (%d known)" body n_bodies;
-    (Nlr.Loop { body; count }, pos)
-  | _ -> bad "unknown element tag %d" tag
-
-let read_elems ~n_syms ~n_bodies s pos =
-  let n, pos = Varint.read s pos in
-  (* an element is at least two varint bytes — a count the remaining
-     payload cannot hold is corruption, not a huge allocation *)
-  if n * 2 > String.length s - pos then bad "element count %d overruns record" n;
-  let pos = ref pos in
-  let elems =
-    Array.init n (fun _ ->
-        let e, p = read_elem ~n_syms ~n_bodies s !pos in
-        pos := p;
-        e)
-  in
-  (elems, !pos)
+let read_int64 (c : Varint.cursor) =
+  let v = String.get_int64_le c.s c.pos in
+  c.pos <- c.pos + 8;
+  v
 
 type raw =
   | Rsymbol of string
@@ -257,169 +223,107 @@ type raw =
   | Rsignature of { digest : string; entry : sig_entry }
   | Rvdiff of { key : string; entry : vdiff_entry }
 
-(* [n_syms]/[n_bodies] are the table sizes accumulated from preceding
-   records of this load — the only IDs a well-formed record may cite *)
-let decode_payload ~n_syms ~n_bodies s =
-  if String.length s = 0 then bad "empty payload";
-  let len = String.length s in
-  let tag = Char.code s.[0] in
+(* the record whose payload is [s.[pos .. pos+len-1]]; [n_syms] and
+   [n_bodies] are the table sizes accumulated from preceding records of
+   this load — the only IDs a well-formed record may cite *)
+let decode_record ~n_syms ~n_bodies s pos len =
+  if len = 0 then bad "empty payload";
+  let tag = Char.code s.[pos] in
+  let c = Varint.cursor ~pos:(pos + 1) ~stop:(pos + len) s in
   let record =
-    if tag = tag_symbol then (Rsymbol (String.sub s 1 (len - 1)), len)
-    else if tag = tag_body then begin
+    if tag = tag_symbol then begin
+      c.pos <- c.stop;
+      Rsymbol (String.sub s (pos + 1) (len - 1))
+    end
+    else if tag = tag_body then
       (* a body's loops reference strictly earlier bodies (NLR creates
          inner loops first), so the running count is the right bound *)
-      let elems, pos = read_elems ~n_syms ~n_bodies s 1 in
-      (Rbody elems, pos)
-    end
+      Rbody (Nlr.read_elems ~n_syms ~n_bodies c)
     else if tag = tag_summary then begin
-      let key, pos = read_digest s 1 in
-      let stamp, pos = Varint.read s pos in
-      let input_length, pos = Varint.read s pos in
-      let elems, pos = read_elems ~n_syms ~n_bodies s pos in
-      (Rsummary { key; stamp; nlr = { Nlr.elems; input_length } }, pos)
+      let key = read_digest c in
+      let stamp = Varint.next c in
+      let input_length = Varint.next c in
+      let elems = Nlr.read_elems ~n_syms ~n_bodies c in
+      Rsummary { key; stamp; nlr = { Nlr.elems; input_length } }
     end
     else if tag = tag_matrix then begin
-      let ns, pos = read_digest s 1 in
-      let stamp, pos = Varint.read s pos in
-      let n, pos = Varint.read s pos in
+      let ns = read_digest c in
+      let stamp = Varint.next c in
+      let n = Varint.next c in
       (* each object costs ≥ 17 bytes (label length + digest) *)
-      if n * 17 > len - pos then bad "object count %d overruns record" n;
+      if n * 17 > Varint.remaining c then bad "object count %d overruns record" n;
       let labels = Array.make n "" and digests = Array.make n "" in
-      let pos = ref pos in
       for i = 0 to n - 1 do
-        let ll, p = Varint.read s !pos in
-        if p + ll > len then bad "truncated matrix label";
-        labels.(i) <- String.sub s p ll;
-        let d, p = read_digest s (p + ll) in
-        digests.(i) <- d;
-        pos := p
+        labels.(i) <- read_string c "matrix label";
+        digests.(i) <- read_digest c
       done;
       let cells = n * (n + 1) / 2 in
-      if !pos + (8 * cells) > len then bad "truncated matrix cells";
-      let flat =
-        Array.init cells (fun _ ->
-            let v = Int64.float_of_bits (String.get_int64_le s !pos) in
-            pos := !pos + 8;
-            v)
-      in
-      (Rmatrix { ns; stamp; labels; digests; matrix = Symmat.of_cells ~n flat },
-       !pos)
+      if 8 * cells > Varint.remaining c then bad "truncated matrix cells";
+      let flat = Array.init cells (fun _ -> Int64.float_of_bits (read_int64 c)) in
+      Rmatrix { ns; stamp; labels; digests; matrix = Symmat.of_cells ~n flat }
     end
     else if tag = tag_signature then begin
-      let digest, pos = read_digest s 1 in
-      let stamp, pos = Varint.read s pos in
-      let k, pos = Varint.read s pos in
-      if pos + (8 * k) > len then bad "truncated signature rows";
-      let pos = ref pos in
-      let mins =
-        Array.init k (fun _ ->
-            let v = Int64.to_int (String.get_int64_le s !pos) in
-            pos := !pos + 8;
-            v)
-      in
-      (Rsignature { digest; entry = { sg_stamp = stamp; sg_mins = mins } },
-       !pos)
+      let digest = read_digest c in
+      let stamp = Varint.next c in
+      let k = Varint.next c in
+      if 8 * k > Varint.remaining c then bad "truncated signature rows";
+      let mins = Array.init k (fun _ -> Int64.to_int (read_int64 c)) in
+      Rsignature { digest; entry = { sg_stamp = stamp; sg_mins = mins } }
     end
     else if tag = tag_vdiff then begin
-      let key, pos = read_digest s 1 in
-      let stamp, pos = Varint.read s pos in
-      let nruns, pos = Varint.read s pos in
+      let key = read_digest c in
+      let stamp = Varint.next c in
+      let nruns = Varint.next c in
       if nruns < 1 then bad "vdiff with %d runs" nruns;
-      let ncols, pos = Varint.read s pos in
+      let ncols = Varint.next c in
       (* a column costs at least 2 bytes (empty text, one index) *)
-      if ncols * 2 > len - pos then bad "column count %d overruns record" ncols;
-      let pos = ref pos in
+      if ncols * 2 > Varint.remaining c then
+        bad "column count %d overruns record" ncols;
       let cols =
         Array.init ncols (fun _ ->
-            let tl, p = Varint.read s !pos in
-            if p + tl > len then bad "truncated vdiff column text";
-            let text = String.sub s p tl in
-            let np, p = Varint.read s (p + tl) in
+            let text = read_string c "vdiff column text" in
+            let np = Varint.next c in
             if np < 1 then bad "vdiff column with empty presence";
             if np > nruns then bad "presence count %d exceeds %d runs" np nruns;
-            let p = ref p in
             let present =
               List.init np (fun _ ->
-                  let i, q = Varint.read s !p in
+                  let i = Varint.next c in
                   if i >= nruns then
                     bad "run index %d out of range (%d runs)" i nruns;
-                  p := q;
                   i)
             in
-            pos := !p;
             (text, present))
       in
-      (Rvdiff { key; entry = { vd_stamp = stamp; vd_nruns = nruns;
-                               vd_cols = cols } },
-       !pos)
+      Rvdiff { key; entry = { vd_stamp = stamp; vd_nruns = nruns; vd_cols = cols } }
     end
     else bad "unknown record type %d" tag
   in
-  let record, consumed = record in
-  if consumed <> len then bad "trailing bytes in record";
+  if c.pos <> c.stop then bad "trailing bytes in record";
   record
 
 (* {2 File scan}
 
    [scan] splits a file image into CRC-checked, structurally decoded
-   records, stopping at the first damage and reporting it. It never
-   raises: truncation, bit flips, and malformed varints all fold into
-   the [damage] component. *)
+   records, stopping at the first damage and reporting it with the
+   image's byte count (0 for a foreign file). It never raises:
+   truncation, bit flips, and malformed varints all fold into the
+   [damage] component. *)
 
-let scan s =
-  let mlen = String.length magic in
-  if String.length s < mlen || String.sub s 0 mlen <> magic then
-    ([], Some "unrecognized magic/version", 0)
-  else begin
-    let total = String.length s in
-    let records = ref [] in
-    let damage = ref None in
-    let n_syms = ref 0 and n_bodies = ref 0 in
-    let pos = ref mlen in
-    (try
-       while !pos < total && !damage = None do
-         let len, p = Varint.read s !pos in
-         if p + len + 4 > total then begin
-           damage :=
-             Some (Printf.sprintf "truncated record at byte %d" !pos)
-         end
-         else begin
-           let payload = String.sub s p len in
-           let crc = Crc32.of_le_bytes s (p + len) in
-           if Crc32.string payload <> crc then
-             damage :=
-               Some (Printf.sprintf "CRC mismatch at byte %d" !pos)
-           else begin
-             match
-               decode_payload ~n_syms:!n_syms ~n_bodies:!n_bodies payload
-             with
-             | Rsymbol _ as r ->
-               incr n_syms;
-               records := r :: !records;
-               pos := p + len + 4
-             | Rbody _ as r ->
-               incr n_bodies;
-               records := r :: !records;
-               pos := p + len + 4
-             | r ->
-               records := r :: !records;
-               pos := p + len + 4
-             | exception Bad_record reason ->
-               damage :=
-                 Some (Printf.sprintf "%s at byte %d" reason !pos)
-           end
-         end
-       done
-     with Invalid_argument _ ->
-       damage := Some (Printf.sprintf "malformed framing at byte %d" !pos));
-    (List.rev !records, !damage, total)
-  end
-
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
+let scan image =
+  let records = ref [] in
+  let n_syms = ref 0 and n_bodies = ref 0 in
+  let scanned =
+    Framing.scan ~magic image (fun pos len ->
+        let r = decode_record ~n_syms:!n_syms ~n_bodies:!n_bodies image pos len in
+        (match r with
+        | Rsymbol _ -> incr n_syms
+        | Rbody _ -> incr n_bodies
+        | _ -> ());
+        records := r :: !records)
+  in
+  let damage = match scanned with Ok () -> None | Error reason -> Some reason in
+  let foreign = not (String.starts_with ~prefix:magic image) in
+  (List.rev !records, damage, if foreign then 0 else String.length image)
 
 (* {2 Load} *)
 
@@ -457,7 +361,7 @@ let adopt t records =
            if entry.vd_stamp >= t.next_stamp then
              t.next_stamp <- entry.vd_stamp + 1)
        records
-   with Bad_record reason -> damage := Some reason);
+   with Framing.Bad_record reason -> damage := Some reason);
   !damage
 
 let load ~dir =
@@ -480,7 +384,7 @@ let load ~dir =
     in
     if not (Sys.file_exists file) then Ok t
     else
-      match read_file file with
+      match Framing.read_file file with
       | exception Sys_error reason -> Error { path = file; reason }
       | image ->
         let records, damage, _bytes = scan image in
@@ -723,10 +627,10 @@ let render t =
   Buffer.add_string buf magic;
   let symtab = Memo.symtab t.memo and table = Memo.loop_table t.memo in
   Array.iter
-    (fun name -> add_record buf (payload_symbol name))
+    (fun name -> Framing.add_record buf (payload_symbol name))
     (Difftrace_trace.Symtab.names symtab);
   for id = 0 to Nlr.Loop_table.size table - 1 do
-    add_record buf (payload_body (Nlr.Loop_table.body table id))
+    Framing.add_record buf (payload_body (Nlr.Loop_table.body table id))
   done;
   List.iter
     (fun (key, stamp, nlr) ->
@@ -739,13 +643,16 @@ let render t =
         end
         else stamp
       in
-      add_record buf (payload_summary ~key ~stamp nlr))
+      Framing.add_record buf (payload_summary ~key ~stamp nlr))
     (summary_entries t);
   List.iter
-    (fun (digest, e) -> add_record buf (payload_signature ~digest e))
+    (fun (digest, e) -> Framing.add_record buf (payload_signature ~digest e))
     (signature_entries t);
-  List.iter (fun (_, e) -> add_record buf (payload_matrix e)) (matrix_entries t);
-  List.iter (fun (key, e) -> add_record buf (payload_vdiff ~key e))
+  List.iter
+    (fun (_, e) -> Framing.add_record buf (payload_matrix e))
+    (matrix_entries t);
+  List.iter
+    (fun (key, e) -> Framing.add_record buf (payload_vdiff ~key e))
     (vdiff_entries t);
   Buffer.contents buf
 
@@ -755,12 +662,7 @@ let flush t =
     ignore (evict t : int * int * int * int);
     match
       mkdir_p t.dir;
-      let tmp = t.file ^ ".tmp" in
-      let oc = open_out_bin tmp in
-      Fun.protect
-        ~finally:(fun () -> close_out_noerr oc)
-        (fun () -> output_string oc (render t));
-      Sys.rename tmp t.file
+      Framing.write_atomic ~path:t.file (render t)
     with
     | () ->
       t.dirty <- false;
@@ -833,7 +735,7 @@ let verify ~dir =
         c_bytes = 0;
         c_damage = None }
   else
-    match read_file file with
+    match Framing.read_file file with
     | exception Sys_error reason -> Error { path = file; reason }
     | image ->
       let records, damage, bytes = scan image in

@@ -4,6 +4,7 @@ module Trace = Difftrace_trace.Trace
 module Trace_set = Difftrace_trace.Trace_set
 module Nlr = Difftrace_nlr.Nlr
 module Varint = Difftrace_util.Varint
+module Framing = Difftrace_util.Framing
 module Telemetry = Difftrace_obs.Telemetry
 
 let c_builds = Telemetry.Counter.make "eventdb.builds"
@@ -219,10 +220,12 @@ let build ?(runner = sequential) ts =
 
 (* {2 On-disk encoding}
 
-   Records in backwards-reference order: symbols, loop bodies, then per
-   thread the event log (tag 3) followed by its postings (tag 4, one
-   record per called function, varint-delta positions), intervals
-   (tag 5) and loop spans (tag 6). *)
+   A magic line, then {!Framing} records in backwards-reference order:
+   symbols, loop bodies, then per thread the event log (tag 3) followed
+   by its postings (tag 4, one record per called function, varint-delta
+   positions), intervals (tag 5) and loop spans (tag 6). *)
+
+let magic = "difftrace-eventdb 1\n"
 
 let tag_symbol = 1
 let tag_body = 2
@@ -231,22 +234,7 @@ let tag_postings = 4
 let tag_intervals = 5
 let tag_loops = 6
 
-exception Bad of string
-
-let bad fmt = Printf.ksprintf (fun s -> raise (Bad s)) fmt
-
-let write_elems buf elems =
-  Varint.write buf (Array.length elems);
-  Array.iter
-    (function
-      | Nlr.Sym id ->
-        Varint.write buf 0;
-        Varint.write buf id
-      | Nlr.Loop { body; count } ->
-        Varint.write buf 1;
-        Varint.write buf body;
-        Varint.write buf count)
-    elems
+let bad = Framing.bad
 
 (* [read_array c ~min_bytes n read] reads [n] elements that take at
    least [min_bytes] encoded bytes each. The array is sized by the bytes
@@ -264,16 +252,6 @@ let read_array c ~min_bytes n read =
     a
   end
 
-let read_elem c =
-  match Varint.next c with
-  | 0 -> Nlr.Sym (Varint.next c)
-  | 1 ->
-    let body = Varint.next c in
-    let count = Varint.next c in
-    Nlr.Loop { body; count }
-  | k -> bad "unknown element kind %d" k
-
-let read_elems c = read_array c ~min_bytes:2 (Varint.next c) read_elem
 let read_event c = Event.decode (Varint.next c)
 
 let payload tag f =
@@ -284,14 +262,15 @@ let payload tag f =
 
 let encode db =
   let buf = Buffer.create 65536 in
-  Buffer.add_string buf Framing.magic;
+  Buffer.add_string buf magic;
   Array.iter
     (fun name ->
       Framing.add_record buf (payload tag_symbol (fun b -> Buffer.add_string b name)))
     (Symtab.names db.db_symtab);
   for id = 0 to Nlr.Loop_table.size db.db_table - 1 do
     Framing.add_record buf
-      (payload tag_body (fun b -> write_elems b (Nlr.Loop_table.body db.db_table id)))
+      (payload tag_body (fun b ->
+           Nlr.write_elems b (Nlr.Loop_table.body db.db_table id)))
   done;
   Array.iteri
     (fun ti th ->
@@ -368,7 +347,9 @@ let save ~dir db =
     Error (Printf.sprintf "%s: %s" arg (Unix.error_message e))
 
 (* decoding: strict — structural surprises are damage, and damage means
-   rebuild, so there is no salvage path to keep consistent *)
+   rebuild, so there is no salvage path to keep consistent. [views] are
+   the (position, length) payloads of [image], all CRC-checked before
+   any is decoded: every framing error outranks every decode error. *)
 
 type partial = {
   mutable p_truncated : bool;
@@ -378,7 +359,7 @@ type partial = {
   mutable p_loops : loop_span array;
 }
 
-let decode ~digest payloads =
+let decode ~digest image views =
   let symtab = Symtab.create () in
   let table = Nlr.Loop_table.create () in
   let threads = ref [] in
@@ -390,17 +371,20 @@ let decode ~digest payloads =
     | None -> bad "postings/intervals for unknown thread %d" ti
   in
   List.iter
-    (fun s ->
-      if String.length s = 0 then bad "empty record";
-      let tag = Char.code s.[0] in
-      let c = Varint.cursor ~pos:1 s in
+    (fun (pos, len) ->
+      if len = 0 then bad "empty record";
+      let tag = Char.code image.[pos] in
+      let c = Varint.cursor ~pos:(pos + 1) ~stop:(pos + len) image in
       let finished what =
-        if c.Varint.pos <> String.length s then bad "trailing bytes in %s record" what
+        if c.Varint.pos <> c.Varint.stop then bad "trailing bytes in %s record" what
       in
       if tag = tag_symbol then
-        ignore (Symtab.intern symtab (String.sub s 1 (String.length s - 1)))
+        ignore (Symtab.intern symtab (String.sub image (pos + 1) (len - 1)))
       else if tag = tag_body then begin
-        let elems = read_elems c in
+        let elems =
+          Nlr.read_elems ~n_syms:(Symtab.size symtab)
+            ~n_bodies:(Nlr.Loop_table.size table) c
+        in
         finished "body";
         ignore (Nlr.Loop_table.intern table elems)
       end
@@ -471,7 +455,7 @@ let decode ~digest payloads =
         (nth ti).p_loops <- spans
       end
       else bad "unknown record tag %d" tag)
-    payloads;
+    views;
   let n_funcs = Symtab.size symtab in
   let ids = Array.of_list (List.rev !threads) in
   let threads =
@@ -499,14 +483,16 @@ let load ~dir ~digest =
     match Framing.read_file path with
     | exception Sys_error reason -> Error reason
     | image -> (
-      match Framing.scan image with
+      let views = ref [] in
+      let add pos len = views := (pos, len) :: !views in
+      match Framing.scan ~magic image add with
       | Error reason -> Error reason
-      | Ok payloads -> (
-        match decode ~digest payloads with
+      | Ok () -> (
+        match decode ~digest image (List.rev !views) with
         | db ->
           Telemetry.Counter.incr c_loads;
           Ok db
-        | exception Bad reason -> Error reason
+        | exception Framing.Bad_record reason -> Error reason
         | exception Invalid_argument reason -> Error reason))
 
 let open_ ?(runner = sequential) ?dir ts =

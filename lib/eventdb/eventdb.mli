@@ -9,7 +9,8 @@
     drill-down questions without rescanning archives.
 
     Builds fan out per thread over an engine-provided {!runner} and the
-    result persists as one CRC-framed file (see {!Framing}) named by
+    result persists as one CRC-framed file ({!Difftrace_util.Framing})
+    named by
     the content digest of its source traces, so a warm rerun loads
     instead of rebuilding. All positions are event indices into the
     owning thread's event array — the stable coordinates quoted by

@@ -172,3 +172,41 @@ let to_strings symtab t = Array.to_list (Array.map (elem_to_string symtab) t.ele
 let body_to_string ~table symtab id =
   let bd = Loop_table.body table id in
   "[" ^ String.concat "-" (Array.to_list (Array.map (elem_to_string symtab) bd)) ^ "]"
+
+(* {2 Element codec} *)
+
+let write_elems buf elems =
+  Varint.write buf (Array.length elems);
+  Array.iter
+    (function
+      | Sym id ->
+        Varint.write buf 0;
+        Varint.write buf id
+      | Loop { body; count } ->
+        Varint.write buf 1;
+        Varint.write buf body;
+        Varint.write buf count)
+    elems
+
+let read_elem ~n_syms ~n_bodies c =
+  match Varint.next c with
+  | 0 ->
+    let id = Varint.next c in
+    if id >= n_syms then
+      Framing.bad "symbol id %d out of range (%d known)" id n_syms;
+    Sym id
+  | 1 ->
+    let body = Varint.next c in
+    let count = Varint.next c in
+    if body >= n_bodies then
+      Framing.bad "loop body %d out of range (%d known)" body n_bodies;
+    Loop { body; count }
+  | tag -> Framing.bad "unknown element tag %d" tag
+
+let read_elems ~n_syms ~n_bodies c =
+  let n = Varint.next c in
+  (* an element is at least two varint bytes — a count the remaining
+     payload cannot hold is corruption, not a huge allocation *)
+  if n * 2 > Varint.remaining c then
+    Framing.bad "element count %d overruns record" n;
+  Array.init n (fun _ -> read_elem ~n_syms ~n_bodies c)

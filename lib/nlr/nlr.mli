@@ -106,3 +106,21 @@ val to_strings : Difftrace_trace.Symtab.t -> t -> string list
     ["[MPI_Send-MPI_Recv]"]. *)
 val body_to_string :
   table:Loop_table.t -> Difftrace_trace.Symtab.t -> int -> string
+
+(** {2 Element codec}
+
+    The one on-disk form of an element sequence, shared by the analysis
+    store and the event-DB index: a varint count, then per element a
+    varint kind ([0] symbol, [1] loop) and its varint fields. *)
+
+(** [write_elems buf elems] appends the encoding of [elems]. *)
+val write_elems : Buffer.t -> elem array -> unit
+
+(** [read_elems ~n_syms ~n_bodies c] reads an element sequence at the
+    cursor. Every symbol ID must be below [n_syms] and every loop body
+    below [n_bodies]; an ID out of range, an unknown kind or a count
+    the cursor's remaining bytes cannot hold raises
+    [Difftrace_util.Framing.Bad_record]. A truncated varint raises
+    [Invalid_argument]. *)
+val read_elems :
+  n_syms:int -> n_bodies:int -> Difftrace_util.Varint.cursor -> elem array

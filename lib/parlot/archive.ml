@@ -71,46 +71,28 @@ let rec mkdir_p dir =
     with Sys_error _ when Sys.is_directory dir -> () (* lost a race; fine *)
   end
 
-let write_file path contents =
-  let oc = open_out_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc contents)
-
 let chunk_magic = "DTA2"
 let default_chunk_size = 4096
 
-(* v2 trace file: the magic, then varint-length-prefixed chunks each
-   closed by a CRC-32 footer of its payload, then a zero-length
-   terminator chunk whose footer checksums the whole compressed
-   stream. Chunk boundaries are transport framing only — they need not
-   align with LZW code boundaries, which is why the decoder is
-   incremental. *)
-let write_v2_trace path data ~chunk_size =
-  let oc = open_out_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc chunk_magic;
-      let total = String.length data in
-      let b = Buffer.create 8 in
-      let pos = ref 0 in
-      while !pos < total do
-        let len = min chunk_size (total - !pos) in
-        Buffer.clear b;
-        Varint.write b len;
-        output_string oc (Buffer.contents b);
-        output_substring oc data !pos len;
-        output_string oc
-          (Crc32.to_le_bytes
-             (Crc32.finish (Crc32.update Crc32.init data ~pos:!pos ~len)));
-        Telemetry.Counter.incr c_chunks;
-        pos := !pos + len
-      done;
-      Buffer.clear b;
-      Varint.write b 0;
-      output_string oc (Buffer.contents b);
-      output_string oc (Crc32.to_le_bytes (Crc32.string data)))
+(* v2 trace file: the magic, then the compressed stream cut into
+   {!Framing} records (chunks), then a zero-length terminator chunk
+   whose footer checksums the whole stream. Chunk boundaries are
+   transport framing only — they need not align with LZW code
+   boundaries, which is why the decoder is incremental. *)
+let v2_trace data ~chunk_size =
+  let total = String.length data in
+  let b = Buffer.create (total + (9 * (total / chunk_size)) + 16) in
+  Buffer.add_string b chunk_magic;
+  let pos = ref 0 in
+  while !pos < total do
+    let len = min chunk_size (total - !pos) in
+    Framing.add_record_sub b data ~pos:!pos ~len;
+    Telemetry.Counter.incr c_chunks;
+    pos := !pos + len
+  done;
+  Varint.write b 0;
+  Buffer.add_string b (Crc32.to_le_bytes (Crc32.string data));
+  Buffer.contents b
 
 let encode_trace (tr : Trace.t) =
   let enc = Lzw.encoder () in
@@ -139,21 +121,18 @@ let save ?(format = V2) ?(chunk_size = default_chunk_size) ~dir ts =
            (if tr.Trace.truncated then "truncated" else "complete")
            (Trace.length tr)))
     traces;
-  (* the v2 manifest closes with a CRC-32 footer over everything above
-     it, so manifest corruption is detected, not misparsed *)
-  (match format with
-  | V1 -> ()
-  | V2 ->
-    Buffer.add_string buf
-      (Printf.sprintf "crc %08x\n" (Crc32.string (Buffer.contents buf))));
-  write_file (manifest_file dir) (Buffer.contents buf);
+  (* the v2 manifest is sealed with a CRC-32 footer over everything
+     above it, so manifest corruption is detected, not misparsed *)
+  let manifest = Buffer.contents buf in
+  Framing.write_file (manifest_file dir)
+    (match format with V1 -> manifest | V2 -> Framing.seal manifest);
   Array.iter
     (fun (tr : Trace.t) ->
       let data = encode_trace tr in
       let path = trace_file dir ~pid:tr.Trace.pid ~tid:tr.Trace.tid in
       match format with
-      | V1 -> write_file path data
-      | V2 -> write_v2_trace path data ~chunk_size)
+      | V1 -> Framing.write_file path data
+      | V2 -> Framing.write_file path (v2_trace data ~chunk_size))
     traces;
   Array.length traces
 
@@ -169,8 +148,6 @@ type manifest = {
 
 exception Bad of string
 
-let crc_footer_len = String.length "crc 00000000\n"
-
 let parse_manifest text =
   let fail msg = raise (Bad msg) in
   let version, body =
@@ -178,18 +155,13 @@ let parse_manifest text =
     then (1, text)
     else if
       String.length text >= 20 && String.sub text 0 20 = "difftrace-archive 2\n"
-    then begin
-      let n = String.length text in
-      if n < 20 + crc_footer_len then fail "missing manifest checksum";
-      let body = String.sub text 0 (n - crc_footer_len) in
-      let footer = String.sub text (n - crc_footer_len) crc_footer_len in
-      let crc =
-        try Scanf.sscanf footer "crc %x" (fun c -> c)
-        with _ -> fail "missing manifest checksum"
-      in
-      if Crc32.string body <> crc then fail "manifest checksum mismatch";
-      (2, body)
-    end
+    then (
+      (* a text shorter than the magic plus a footer reads as missing
+         its footer, which would have to start inside the magic *)
+      match Framing.unseal text with
+      | Ok body -> (2, body)
+      | Error `Missing -> fail "missing manifest checksum"
+      | Error `Mismatch -> fail "manifest checksum mismatch")
     else fail "bad magic"
   in
   match String.split_on_char '\n' body with
@@ -382,12 +354,7 @@ let scan_trace ~version ~len path =
 
 let read_manifest dir =
   let path = manifest_file dir in
-  match
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  with
+  match Framing.read_file path with
   | exception Sys_error m ->
     Error { err_path = path; err_reason = "cannot read manifest: " ^ m }
   | text -> (

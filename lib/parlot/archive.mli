@@ -12,12 +12,16 @@
     Layout (version 2, the default):
     {v
     <dir>/manifest        version, symbols, one line per thread,
-                          closed by a "crc %08x" footer line
-    <dir>/trace_P_T.lzw   "DTA2", then varint-length-prefixed chunks of
-                          the compressed event stream, each closed by a
-                          CRC-32 footer; a zero-length terminator chunk
-                          carries the whole-stream CRC-32
+                          sealed by a CRC-32 footer line
+    <dir>/trace_P_T.lzw   "DTA2", then the compressed event stream as
+                          chunks, each one record (varint length,
+                          payload, CRC-32); a zero-length terminator
+                          chunk carries the whole-stream CRC-32
     v}
+
+    The manifest seal and the chunk records are
+    {!Difftrace_util.Framing}'s, the one container every DiffTrace
+    file uses; only reading stays here, streamed chunk by chunk.
 
     Version 1 archives (bare LZW streams, no checksums) remain
     readable. Trace files are decoded incrementally — chunk by chunk

@@ -15,7 +15,7 @@ let mask = 0xFFFFFFFF
 let init = mask
 
 let update crc s ~pos ~len =
-  if pos < 0 || len < 0 || pos + len > String.length s then
+  if pos < 0 || len < 0 || len > String.length s - pos then
     invalid_arg "Crc32.update: out-of-bounds range";
   let t = Lazy.force table in
   let c = ref (crc land mask) in

@@ -11,17 +11,21 @@ let write buf n =
   done;
   Buffer.add_char buf (Char.chr !n)
 
-type cursor = { s : string; mutable pos : int }
+type cursor = { s : string; mutable pos : int; stop : int }
 
-let cursor ?(pos = 0) s = { s; pos }
-let remaining c = String.length c.s - c.pos
+let cursor ?(pos = 0) ?stop s =
+  let stop = Option.value stop ~default:(String.length s) in
+  if stop > String.length s then invalid_arg "Varint.cursor: stop past end";
+  { s; pos; stop }
+
+let remaining c = c.stop - c.pos
 
 let next c =
   let s = c.s in
-  let len = String.length s in
+  let stop = c.stop in
   let pos = ref c.pos and shift = ref 0 and acc = ref 0 and more = ref true in
   while !more do
-    if !pos >= len then invalid_arg "Varint.read: truncated input";
+    if !pos >= stop then invalid_arg "Varint.read: truncated input";
     (* [write] never emits more than 9 bytes (shift 56 holds bits
        56..62 of a 63-bit int); past that — or once a continuation run
        would set the sign bit — [lsl] silently wraps, so reject. *)

@@ -19,20 +19,24 @@ val read : string -> int -> int * int
 
     A cursor reads consecutive varints out of one string without
     allocating: [next] advances [pos] in place, where [read] returns a
-    fresh pair per value. The event-DB index decoder reads every record
-    kind this way. *)
+    fresh pair per value. The store and event-DB record decoders read
+    every record in place this way, each cursor bounded by its
+    record's payload. *)
 
-type cursor = { s : string; mutable pos : int }
+type cursor = { s : string; mutable pos : int; stop : int }
 
-(** [cursor ?pos s] starts reading [s] at [pos] (default 0). *)
-val cursor : ?pos:int -> string -> cursor
+(** [cursor ?pos ?stop s] reads [s] from [pos] (default 0) up to, not
+    including, [stop] (default [String.length s]): a cursor over one
+    record's payload never reads past it. Raises [Invalid_argument] if
+    [stop] lies past the end of [s]. *)
+val cursor : ?pos:int -> ?stop:int -> string -> cursor
 
-(** [remaining c] is the number of bytes left after [c.pos]. *)
+(** [remaining c] is the number of bytes left before [c.stop]. *)
 val remaining : cursor -> int
 
 (** [next c] decodes the varint at [c.pos] and advances past it. Raises
-    [Invalid_argument] exactly as {!read} does, leaving [c.pos]
-    unchanged. *)
+    [Invalid_argument] exactly as {!read} does — a varint running into
+    [c.stop] is truncated input — leaving [c.pos] unchanged. *)
 val next : cursor -> int
 
 (** [size n] is the number of bytes [write] would emit for [n]. *)

@@ -722,7 +722,66 @@ module Eventdb = struct
   module Fresh_event = Event
   open Difftrace_eventdb.Eventdb
   module Event = Fresh_event
-  module Framing = Difftrace_eventdb.Framing
+
+  (* The index file's own copy of the record framing: [scan] copies
+     every payload out of the image with [String.sub]. *)
+  module Framing = struct
+    let magic = "difftrace-eventdb 1\n"
+
+    let add_record buf payload =
+      Varint.write buf (String.length payload);
+      Buffer.add_string buf payload;
+      Buffer.add_string buf (Crc32.to_le_bytes (Crc32.string payload))
+
+    let scan image =
+      let mlen = String.length magic in
+      if String.length image < mlen || String.sub image 0 mlen <> magic then
+        Error "unrecognized magic/version"
+      else begin
+        let total = String.length image in
+        let payloads = ref [] in
+        let damage = ref None in
+        let pos = ref mlen in
+        (try
+           while !pos < total && !damage = None do
+             let len, p = Varint.read image !pos in
+             if p + len + 4 > total then
+               damage := Some (Printf.sprintf "truncated record at byte %d" !pos)
+             else begin
+               let payload = String.sub image p len in
+               let crc = Crc32.of_le_bytes image (p + len) in
+               if Crc32.string payload <> crc then
+                 damage := Some (Printf.sprintf "CRC mismatch at byte %d" !pos)
+               else begin
+                 payloads := payload :: !payloads;
+                 pos := p + len + 4
+               end
+             end
+           done
+         with Invalid_argument _ ->
+           damage := Some (Printf.sprintf "malformed framing at byte %d" !pos));
+        match !damage with
+        | Some reason -> Error reason
+        | None -> Ok (List.rev !payloads)
+      end
+
+    let read_file path =
+      let ic = open_in_bin path in
+      Fun.protect
+        ~finally:(fun () -> close_in_noerr ic)
+        (fun () -> really_input_string ic (in_channel_length ic))
+
+    let write_atomic ~path contents =
+      let tmp = path ^ ".tmp" in
+      let oc = open_out_bin tmp in
+      (try output_string oc contents
+       with e ->
+         close_out_noerr oc;
+         raise e);
+      close_out oc;
+      Sys.rename tmp path
+  end
+
   module Intervals = Difftrace_eventdb.Intervals
 
   let tag_symbol = 1
@@ -908,4 +967,287 @@ module Eventdb = struct
             Ok db
           | exception Bad reason -> Error reason
           | exception Invalid_argument reason -> Error reason))
+end
+
+(* The analysis store's record decoder and file scan over
+   tuple-returning [Varint.read], each payload copied out of the image
+   before it is checksummed and decoded. *)
+module Store = struct
+  module Nlr = Difftrace_nlr.Nlr
+
+  let magic = "difftrace-store 1\n"
+
+  type matrix_entry = {
+    ns : string;
+    stamp : int;
+    labels : string array;
+    digests : string array;
+    matrix : Symmat.t;
+  }
+
+  (* a persisted MinHash signature, keyed by the attribute-set digest of
+     the object it sketches — the same digest that gates matrix-row
+     reuse, so a signature hit carries the same vouching: same digest,
+     same attribute-name set, same signature bit for bit. *)
+  type sig_entry = { sg_stamp : int; sg_mins : int array }
+
+  (* a persisted variational alignment: the merged column sequence of an
+     n-way vdiff, keyed by a digest over the aligned runs' element
+     sequences (in run order) — same runs, same columns, so a hit skips
+     the whole progressive re-alignment *)
+  type vdiff_entry = {
+    vd_stamp : int;
+    vd_nruns : int;
+    vd_cols : (string * int list) array;  (* (text, presence indices) *)
+  }
+
+  let matrix_identity (e : matrix_entry) =
+    let pairs =
+      Array.to_list (Array.map2 (fun l d -> l ^ "\x00" ^ d) e.labels e.digests)
+      |> List.sort String.compare
+    in
+    Digest.string (String.concat "\x01" (e.ns :: pairs))
+
+  let tag_symbol = 1
+  let tag_body = 2
+  let tag_summary = 3
+  let tag_matrix = 4
+  let tag_signature = 5
+  let tag_vdiff = 6
+
+  exception Bad_record of string
+
+  let bad fmt = Printf.ksprintf (fun s -> raise (Bad_record s)) fmt
+
+  let read_digest s pos =
+    if pos + 16 > String.length s then bad "truncated digest";
+    (String.sub s pos 16, pos + 16)
+
+  let read_elem ~n_syms ~n_bodies s pos =
+    let tag, pos = Varint.read s pos in
+    match tag with
+    | 0 ->
+      let id, pos = Varint.read s pos in
+      if id >= n_syms then bad "symbol id %d out of range (%d known)" id n_syms;
+      (Nlr.Sym id, pos)
+    | 1 ->
+      let body, pos = Varint.read s pos in
+      let count, pos = Varint.read s pos in
+      if body >= n_bodies then
+        bad "loop body %d out of range (%d known)" body n_bodies;
+      (Nlr.Loop { body; count }, pos)
+    | _ -> bad "unknown element tag %d" tag
+
+  let read_elems ~n_syms ~n_bodies s pos =
+    let n, pos = Varint.read s pos in
+    (* an element is at least two varint bytes — a count the remaining
+       payload cannot hold is corruption, not a huge allocation *)
+    if n * 2 > String.length s - pos then bad "element count %d overruns record" n;
+    let pos = ref pos in
+    let elems =
+      Array.init n (fun _ ->
+          let e, p = read_elem ~n_syms ~n_bodies s !pos in
+          pos := p;
+          e)
+    in
+    (elems, !pos)
+
+  type raw =
+    | Rsymbol of string
+    | Rbody of Nlr.elem array
+    | Rsummary of { key : string; stamp : int; nlr : Nlr.t }
+    | Rmatrix of matrix_entry
+    | Rsignature of { digest : string; entry : sig_entry }
+    | Rvdiff of { key : string; entry : vdiff_entry }
+
+  (* [n_syms]/[n_bodies] are the table sizes accumulated from preceding
+     records of this load — the only IDs a well-formed record may cite *)
+  let decode_payload ~n_syms ~n_bodies s =
+    if String.length s = 0 then bad "empty payload";
+    let len = String.length s in
+    let tag = Char.code s.[0] in
+    let record =
+      if tag = tag_symbol then (Rsymbol (String.sub s 1 (len - 1)), len)
+      else if tag = tag_body then begin
+        (* a body's loops reference strictly earlier bodies (NLR creates
+           inner loops first), so the running count is the right bound *)
+        let elems, pos = read_elems ~n_syms ~n_bodies s 1 in
+        (Rbody elems, pos)
+      end
+      else if tag = tag_summary then begin
+        let key, pos = read_digest s 1 in
+        let stamp, pos = Varint.read s pos in
+        let input_length, pos = Varint.read s pos in
+        let elems, pos = read_elems ~n_syms ~n_bodies s pos in
+        (Rsummary { key; stamp; nlr = { Nlr.elems; input_length } }, pos)
+      end
+      else if tag = tag_matrix then begin
+        let ns, pos = read_digest s 1 in
+        let stamp, pos = Varint.read s pos in
+        let n, pos = Varint.read s pos in
+        (* each object costs ≥ 17 bytes (label length + digest) *)
+        if n * 17 > len - pos then bad "object count %d overruns record" n;
+        let labels = Array.make n "" and digests = Array.make n "" in
+        let pos = ref pos in
+        for i = 0 to n - 1 do
+          let ll, p = Varint.read s !pos in
+          if p + ll > len then bad "truncated matrix label";
+          labels.(i) <- String.sub s p ll;
+          let d, p = read_digest s (p + ll) in
+          digests.(i) <- d;
+          pos := p
+        done;
+        let cells = n * (n + 1) / 2 in
+        if !pos + (8 * cells) > len then bad "truncated matrix cells";
+        let flat =
+          Array.init cells (fun _ ->
+              let v = Int64.float_of_bits (String.get_int64_le s !pos) in
+              pos := !pos + 8;
+              v)
+        in
+        (Rmatrix { ns; stamp; labels; digests; matrix = Symmat.of_cells ~n flat },
+         !pos)
+      end
+      else if tag = tag_signature then begin
+        let digest, pos = read_digest s 1 in
+        let stamp, pos = Varint.read s pos in
+        let k, pos = Varint.read s pos in
+        if pos + (8 * k) > len then bad "truncated signature rows";
+        let pos = ref pos in
+        let mins =
+          Array.init k (fun _ ->
+              let v = Int64.to_int (String.get_int64_le s !pos) in
+              pos := !pos + 8;
+              v)
+        in
+        (Rsignature { digest; entry = { sg_stamp = stamp; sg_mins = mins } },
+         !pos)
+      end
+      else if tag = tag_vdiff then begin
+        let key, pos = read_digest s 1 in
+        let stamp, pos = Varint.read s pos in
+        let nruns, pos = Varint.read s pos in
+        if nruns < 1 then bad "vdiff with %d runs" nruns;
+        let ncols, pos = Varint.read s pos in
+        (* a column costs at least 2 bytes (empty text, one index) *)
+        if ncols * 2 > len - pos then bad "column count %d overruns record" ncols;
+        let pos = ref pos in
+        let cols =
+          Array.init ncols (fun _ ->
+              let tl, p = Varint.read s !pos in
+              if p + tl > len then bad "truncated vdiff column text";
+              let text = String.sub s p tl in
+              let np, p = Varint.read s (p + tl) in
+              if np < 1 then bad "vdiff column with empty presence";
+              if np > nruns then bad "presence count %d exceeds %d runs" np nruns;
+              let p = ref p in
+              let present =
+                List.init np (fun _ ->
+                    let i, q = Varint.read s !p in
+                    if i >= nruns then
+                      bad "run index %d out of range (%d runs)" i nruns;
+                    p := q;
+                    i)
+              in
+              pos := !p;
+              (text, present))
+        in
+        (Rvdiff { key; entry = { vd_stamp = stamp; vd_nruns = nruns;
+                                 vd_cols = cols } },
+         !pos)
+      end
+      else bad "unknown record type %d" tag
+    in
+    let record, consumed = record in
+    if consumed <> len then bad "trailing bytes in record";
+    record
+
+  (* {2 File scan}
+
+     [scan] splits a file image into CRC-checked, structurally decoded
+     records, stopping at the first damage and reporting it. It never
+     raises: truncation, bit flips, and malformed varints all fold into
+     the [damage] component. *)
+
+  let scan s =
+    let mlen = String.length magic in
+    if String.length s < mlen || String.sub s 0 mlen <> magic then
+      ([], Some "unrecognized magic/version", 0)
+    else begin
+      let total = String.length s in
+      let records = ref [] in
+      let damage = ref None in
+      let n_syms = ref 0 and n_bodies = ref 0 in
+      let pos = ref mlen in
+      (try
+         while !pos < total && !damage = None do
+           let len, p = Varint.read s !pos in
+           if p + len + 4 > total then begin
+             damage :=
+               Some (Printf.sprintf "truncated record at byte %d" !pos)
+           end
+           else begin
+             let payload = String.sub s p len in
+             let crc = Crc32.of_le_bytes s (p + len) in
+             if Crc32.string payload <> crc then
+               damage :=
+                 Some (Printf.sprintf "CRC mismatch at byte %d" !pos)
+             else begin
+               match
+                 decode_payload ~n_syms:!n_syms ~n_bodies:!n_bodies payload
+               with
+               | Rsymbol _ as r ->
+                 incr n_syms;
+                 records := r :: !records;
+                 pos := p + len + 4
+               | Rbody _ as r ->
+                 incr n_bodies;
+                 records := r :: !records;
+                 pos := p + len + 4
+               | r ->
+                 records := r :: !records;
+                 pos := p + len + 4
+               | exception Bad_record reason ->
+                 damage :=
+                   Some (Printf.sprintf "%s at byte %d" reason !pos)
+             end
+           end
+         done
+       with Invalid_argument _ ->
+         damage := Some (Printf.sprintf "malformed framing at byte %d" !pos));
+      (List.rev !records, !damage, total)
+    end
+end
+
+(* Campaign footer checks, as [read_meta] and [load_manifest] did them
+   inline on the text of a per-cell meta file and a campaign manifest. *)
+module Campaign = struct
+  (* [read_meta]: [Some body] only for an intact footer *)
+  let meta_body text =
+    try
+      let crc_len = String.length "crc 00000000\n" in
+      if String.length text <= crc_len then None
+      else
+        let body = String.sub text 0 (String.length text - crc_len) in
+        let footer = String.sub text (String.length text - crc_len) crc_len in
+        let crc = Scanf.sscanf footer "crc %x" (fun c -> c) in
+        if Crc32.string body <> crc then None
+        else Some body
+    with _ -> None
+
+  (* [load_manifest]: the text to parse, and whether its footer held *)
+  let manifest_body text =
+    let crc_len = String.length "crc 00000000\n" in
+    let body, crc_ok =
+      if String.length text <= crc_len then (text, false)
+      else begin
+        let body = String.sub text 0 (String.length text - crc_len) in
+        let footer = String.sub text (String.length text - crc_len) crc_len in
+        match Scanf.sscanf footer "crc %x" (fun c -> c) with
+        | crc when Crc32.string body = crc -> (body, true)
+        | _ -> (text, false)
+        | exception _ -> (text, false)
+      end
+    in
+    (body, crc_ok)
 end

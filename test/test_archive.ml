@@ -367,6 +367,22 @@ let test_save_dir_is_file () =
       (String.length m > 0 && String.sub m 0 12 = "Archive.save"));
   Sys.remove path
 
+(* a full device refuses the manifest only when it is closed: that
+   must reach the caller as the documented [Sys_error], which the
+   session turns into an archive error, not escape as
+   [Fun.Finally_raised] *)
+let test_save_full_device () =
+  let dir = tmpdir "full_device" in
+  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
+  let manifest = Filename.concat dir "manifest" in
+  Unix.symlink "/dev/full" manifest;
+  Fun.protect
+    ~finally:(fun () -> Sys.remove manifest)
+    (fun () ->
+      match Archive.save ~dir (sample_traces ()) with
+      | _ -> Alcotest.fail "saved onto a full device"
+      | exception Sys_error _ -> ())
+
 let test_zero_byte_trace_file () =
   (* the file a crashed writer leaves behind: created, never flushed —
      a byte-less stream must load as the valid empty trace the manifest
@@ -819,6 +835,7 @@ let () =
           Alcotest.test_case "repair" `Quick test_repair;
           Alcotest.test_case "save creates parents" `Quick test_save_creates_parents;
           Alcotest.test_case "save onto a file" `Quick test_save_dir_is_file;
+          Alcotest.test_case "save onto a full device" `Quick test_save_full_device;
           Alcotest.test_case "v1 length mismatch" `Quick test_v1_length_mismatch;
           Alcotest.test_case "empty stream input" `Quick test_stream_empty_input;
           Alcotest.test_case "zero-byte trace file" `Quick

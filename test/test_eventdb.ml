@@ -264,7 +264,7 @@ let test_open_warm () =
 
 (* --- the replaced index decoder as an oracle ----------------------- *)
 
-module Framing = Difftrace_eventdb.Framing
+module Framing = Oracles.Eventdb.Framing
 module Nlr = Difftrace_nlr.Nlr
 
 let db_view = function
@@ -300,59 +300,96 @@ let prop_load_matches_oracle =
       (match Eventdb.load ~dir ~digest with Ok _ -> true | Error _ -> false)
       && loads_agree ~dir ~digest)
 
-(* Damage either the file's bytes (caught by the framing) or one record
-   of a chosen kind, re-framed with a valid checksum so the record
-   decoder itself sees it: one to three byte edits, or the record
-   dropped or duplicated. Replacement bytes stay below 0x80, so a
-   damaged count is never longer than the varints around it and the
-   oracle's unsized allocations stay small. *)
-let byte_edit =
-  QCheck2.Gen.(
-    let* kind = int_range 0 2 in
-    let* at = int_range 0 1_000_000 in
-    let* byte = map Char.chr (int_range 0 0x7f) in
-    let* tail = string_size ~gen:(map Char.chr (int_range 0 0x7f)) (int_range 1 6) in
-    return (fun s ->
-        let n = String.length s in
-        match kind with
-        | 0 when n > 0 -> String.mapi (fun i c -> if i = at mod n then byte else c) s
-        | 1 -> String.sub s 0 (at mod (n + 1))
-        | _ -> s ^ tail))
-
 let index_mutation =
-  QCheck2.Gen.(
-    let* target = int_range 0 7 in
-    let* nth = int_range 0 1_000 in
-    let* edits = list_size (int_range 1 3) byte_edit in
-    let edit s = List.fold_left (fun s f -> f s) s edits in
-    return (fun image ->
-        match (target, Framing.scan image) with
-        | 0, _ | _, Error _ -> edit image
-        | _, Ok payloads ->
-          (* records of tag [target] (1..6), or any record for 7 *)
-          let picked =
-            List.filter
-              (fun p -> target = 7 || (p <> "" && Char.code p.[0] = target))
-              payloads
-          in
-          let victim =
-            if picked = [] then "" else List.nth picked (nth mod List.length picked)
-          in
-          let payloads =
-            List.concat_map
-              (fun p ->
-                if p != victim then [ p ]
-                else
-                  match nth mod 8 with
-                  | 0 -> []
-                  | 1 -> [ p; p ]
-                  | _ -> [ edit p ])
-              payloads
-          in
-          let b = Buffer.create (String.length image) in
-          Buffer.add_string b Framing.magic;
-          List.iter (Framing.add_record b) payloads;
-          Buffer.contents b))
+  Mutation.record_mutation ~unframe:Framing.scan ~reframe:(fun payloads ->
+      let b = Buffer.create 4096 in
+      Buffer.add_string b Framing.magic;
+      List.iter (Framing.add_record b) payloads;
+      Buffer.contents b)
+
+(* The one deliberate difference from the oracle: loop-body records now
+   go through the bounds-checked [Nlr] element reader, in the analysis
+   store's wording. A body citing an unknown symbol or loop body loaded
+   [Ok] in the oracle, and a later query raised on it; it is now an
+   [Error], so [open_] rebuilds. Where the oracle failed on some record
+   too, a body record may now fail first or with the store's text.
+   Every other outcome must agree exactly. *)
+let body_reader_error e =
+  List.exists
+    (fun prefix -> String.starts_with ~prefix e)
+    [ "symbol id "; "loop body "; "unknown element tag "; "element count " ]
+
+let cites_unknown_id (db : Eventdb.t) e =
+  let table = db.Eventdb.db_table in
+  let cites p =
+    List.exists
+      (fun id -> Array.exists p (Nlr.Loop_table.body table id))
+      (List.init (Nlr.Loop_table.size table) Fun.id)
+  in
+  match
+    Scanf.sscanf_opt e "symbol id %d out of range" (fun x -> `Sym x),
+    Scanf.sscanf_opt e "loop body %d out of range" (fun x -> `Body x)
+  with
+  | Some (`Sym x), _ -> cites (function Nlr.Sym s -> s = x | Nlr.Loop _ -> false)
+  | _, Some (`Body x) ->
+    cites (function Nlr.Loop { body; _ } -> body = x | Nlr.Sym _ -> false)
+  | _ -> false
+
+let loads_agree_but_body_checks ~dir ~digest =
+  let got = Eventdb.load ~dir ~digest
+  and want = Oracles.Eventdb.load ~dir ~digest in
+  db_view got = db_view want
+  ||
+  match (want, got) with
+  | Ok db, Error e -> cites_unknown_id db e
+  | Error _, Error e -> body_reader_error e
+  | _ -> false
+
+(* A CRC-valid index whose first loop body cites symbol 999999: the
+   body reader rejects it at load, so a warm open rebuilds instead of
+   handing [loops] an ID the symbol table does not know. *)
+let test_unknown_body_symbol_rebuilds () =
+  let dir = tmpdir "body_symbol" in
+  let ts = Lazy.force heat_traces in
+  let db = Eventdb.build ts in
+  (match Eventdb.save ~dir db with
+  | Ok () -> ()
+  | Error m -> Alcotest.failf "save: %s" m);
+  let digest = db.Eventdb.db_digest in
+  let path = Filename.concat dir (digest ^ ".edb") in
+  let payloads =
+    match Framing.scan (In_channel.with_open_bin path In_channel.input_all) with
+    | Ok payloads -> payloads
+    | Error m -> Alcotest.failf "scan: %s" m
+  in
+  let bogus =
+    let b = Buffer.create 8 in
+    Buffer.add_char b '\x02';
+    (* one element, of kind 0 (a symbol), citing ID 999999 *)
+    List.iter (Difftrace_util.Varint.write b) [ 1; 0; 999999 ];
+    Buffer.contents b
+  in
+  let rewritten = ref false in
+  let b = Buffer.create 4096 in
+  Buffer.add_string b Framing.magic;
+  List.iter
+    (fun p ->
+      if (not !rewritten) && p.[0] = '\x02' then begin
+        rewritten := true;
+        Framing.add_record b bogus
+      end
+      else Framing.add_record b p)
+    payloads;
+  Alcotest.(check bool) "index has a loop body" true !rewritten;
+  Out_channel.with_open_bin path (fun oc ->
+      Out_channel.output_string oc (Buffer.contents b));
+  (match Eventdb.load ~dir ~digest with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "loaded a body citing an unknown symbol");
+  let db2, how = Eventdb.open_ ~dir ts in
+  Alcotest.(check bool) "rebuilt" true (how = `Built);
+  Alcotest.(check string) "loops answers" (query_render db "loops")
+    (query_render db2 "loops")
 
 let prop_mutated_load_matches_oracle =
   qtest ~count:300 "load = oracle load on mutated index files"
@@ -363,7 +400,7 @@ let prop_mutated_load_matches_oracle =
       let image = In_channel.with_open_bin path In_channel.input_all in
       let damaged = List.fold_left (fun s f -> f s) image mutations in
       Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc damaged);
-      loads_agree ~dir ~digest)
+      loads_agree_but_body_checks ~dir ~digest)
 
 (* --- query semantics pinned on a deterministic workload -------------- *)
 
@@ -466,6 +503,8 @@ let () =
           Alcotest.test_case "corrupt index rebuilds" `Quick
             test_corrupt_index_rebuilds;
           Alcotest.test_case "warm open loads" `Quick test_open_warm;
+          Alcotest.test_case "unknown body symbol rebuilds" `Quick
+            test_unknown_body_symbol_rebuilds;
           prop_load_matches_oracle;
           prop_mutated_load_matches_oracle ] );
       ( "query",

@@ -348,6 +348,144 @@ let test_verify_clean_and_damaged () =
   Alcotest.(check int) "missing store: zero records" 0 e.Store.c_records;
   Alcotest.(check bool) "missing store: no damage" true (e.Store.c_damage = None)
 
+(* A write the kernel refuses only at close: with the temp file a
+   symlink to /dev/full and the store far below one 64 KiB channel
+   buffer, every byte fits in the buffer and ENOSPC surfaces at
+   [close_out]. The flush must report it and keep the previous file. *)
+let test_flush_failed_close_keeps_store () =
+  let dir = make_store "devfull" (sample_traces ()) in
+  let before = read_file (store_path dir) in
+  let tmp = store_path dir ^ ".tmp" in
+  Unix.symlink "/dev/full" tmp;
+  Fun.protect
+    ~finally:(fun () -> Sys.remove tmp)
+    (fun () ->
+      let st = get (Store.load ~dir) in
+      (* new summaries make the store dirty, so the flush writes *)
+      let outcome, _ = Odd_even.run ~np:6 ~fault:Fault.No_fault () in
+      ignore (Pipeline.analyze ~store:st (config ()) outcome.R.traces);
+      (match Store.flush st with
+      | Ok () -> Alcotest.fail "flush reported success on a full device"
+      | Error _ -> ());
+      Alcotest.(check bool) "previous store kept" true
+        (read_file (store_path dir) = before);
+      let s = Store.stats (get (Store.load ~dir)) in
+      Alcotest.(check bool) "previous store reloads" true
+        (s.Store.summaries > 0 && not s.Store.salvaged))
+
+(* ------------------------------------------------------------------ *)
+(* The replaced scan and record decoder as an oracle                   *)
+(* ------------------------------------------------------------------ *)
+
+module Oracle = Oracles.Store
+module Framing = Difftrace_util.Framing
+module Nlr = Difftrace_nlr.Nlr
+
+(* one store holding every record kind: symbols, loop bodies,
+   summaries, exact and sketch matrices, signatures and vdiffs *)
+let rich_image =
+  lazy
+    (let ts = sample_traces () in
+     let dir = tmpdir "rich" in
+     let st = get (Store.load ~dir) in
+     ignore (Pipeline.analyze ~store:st (config ()) ts);
+     let sketch = Config.with_mode Config.Sketch (config ()) in
+     ignore (Pipeline.analyze ~store:st sketch ts);
+     Store.add_vdiff st ~key:(Digest.string "a") ~nruns:2
+       [| ("MPI_Init", [ 0; 1 ]); ("MPI_Send", [ 1 ]) |];
+     Store.add_vdiff st ~key:(Digest.string "b") ~nruns:3 [| ("", [ 2 ]) |];
+     get (Store.flush st);
+     read_file (store_path dir))
+
+let store_mutation =
+  Mutation.record_mutation
+    ~unframe:(fun image ->
+      let payloads = ref [] in
+      Framing.scan ~magic:Oracle.magic image (fun pos len ->
+          payloads := String.sub image pos len :: !payloads)
+      |> Result.map (fun () -> List.rev !payloads))
+    ~reframe:(fun payloads ->
+      let b = Buffer.create 4096 in
+      Buffer.add_string b Oracle.magic;
+      List.iter (Framing.add_record b) payloads;
+      Buffer.contents b)
+
+let oracle_check image =
+  let records, damage, bytes = Oracle.scan image in
+  let count p = List.length (List.filter p records) in
+  { Store.c_records = List.length records;
+    c_summaries = count (function Oracle.Rsummary _ -> true | _ -> false);
+    c_matrices = count (function Oracle.Rmatrix _ -> true | _ -> false);
+    c_signatures = count (function Oracle.Rsignature _ -> true | _ -> false);
+    c_vdiffs = count (function Oracle.Rvdiff _ -> true | _ -> false);
+    c_symbols = count (function Oracle.Rsymbol _ -> true | _ -> false);
+    c_loop_bodies = count (function Oracle.Rbody _ -> true | _ -> false);
+    c_bytes = bytes;
+    c_damage = damage }
+
+(* what a load adopts: table sizes, entry counts, the salvage flag and
+   every summary (the file's own size is not the scan's business) *)
+let load_view st =
+  ( { (Store.stats st) with Store.file_bytes = 0 },
+    Memo.fold (Store.memo st) ~init:[] ~f:(fun key nlr acc -> (key, nlr) :: acc)
+    |> List.sort compare )
+
+(* the same view over the oracle's records, replayed as the loader's
+   adoption does: a duplicate symbol or loop body stops it there *)
+let oracle_load_view image =
+  let records, damage, _ = Oracle.scan image in
+  let symbols = Hashtbl.create 16 and table = Nlr.Loop_table.create () in
+  let summaries = Hashtbl.create 16 and matrices = Hashtbl.create 16 in
+  let signatures = Hashtbl.create 16 and vdiffs = Hashtbl.create 16 in
+  let rec adopt = function
+    | [] -> true
+    | Oracle.Rsymbol name :: _ when Hashtbl.mem symbols name -> false
+    | Oracle.Rsymbol name :: rest ->
+      Hashtbl.add symbols name ();
+      adopt rest
+    | Oracle.Rbody elems :: rest ->
+      let id = Nlr.Loop_table.size table in
+      Nlr.Loop_table.intern table elems = id && adopt rest
+    | Oracle.Rsummary { key; nlr; _ } :: rest ->
+      Hashtbl.replace summaries key nlr;
+      adopt rest
+    | Oracle.Rmatrix e :: rest ->
+      Hashtbl.replace matrices (Oracle.matrix_identity e) ();
+      adopt rest
+    | Oracle.Rsignature { digest; _ } :: rest ->
+      Hashtbl.replace signatures digest ();
+      adopt rest
+    | Oracle.Rvdiff { key; _ } :: rest ->
+      Hashtbl.replace vdiffs key ();
+      adopt rest
+  in
+  let clean = adopt records in
+  ( { Store.summaries = Hashtbl.length summaries;
+      matrices = Hashtbl.length matrices;
+      signatures = Hashtbl.length signatures;
+      vdiffs = Hashtbl.length vdiffs;
+      symbols = Hashtbl.length symbols;
+      loop_bodies = Nlr.Loop_table.size table;
+      file_bytes = 0;
+      salvaged = damage <> None || not clean },
+    Hashtbl.fold (fun key nlr acc -> (key, nlr) :: acc) summaries []
+    |> List.sort compare )
+
+let prop_mutated_matches_oracle =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:300
+       ~name:"load/verify = oracle scan on mutated store files"
+       QCheck2.Gen.(list_size (int_range 1 3) store_mutation)
+       (fun mutations ->
+         let image =
+           List.fold_left (fun s f -> f s) (Lazy.force rich_image) mutations
+         in
+         let dir = tmpdir "oracle_mutated" in
+         if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
+         write_file (store_path dir) image;
+         get (Store.verify ~dir) = oracle_check image
+         && load_view (get (Store.load ~dir)) = oracle_load_view image))
+
 let () =
   Alcotest.run "store"
     [ ( "round-trip",
@@ -373,7 +511,10 @@ let () =
           Alcotest.test_case "foreign files in the dir are ignored" `Quick
             test_foreign_file_ignored;
           Alcotest.test_case "dir being a regular file is an error" `Quick
-            test_dir_is_a_file ] );
+            test_dir_is_a_file;
+          Alcotest.test_case "flush reports a failed close" `Quick
+            test_flush_failed_close_keeps_store;
+          prop_mutated_matches_oracle ] );
       ( "gc",
         [ Alcotest.test_case "gc drops oldest and counts evictions" `Quick
             test_gc_and_eviction_accounting;

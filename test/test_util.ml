@@ -277,6 +277,76 @@ let prop_varint_cursor_oracle =
       read_all cursor s pos = read_all Oracles.Varint.read s pos
       && read_all Varint.read s pos = read_all Oracles.Varint.read s pos)
 
+(* a cursor bounded by [stop] reads exactly what an unbounded read of
+   the prefix up to [stop] would *)
+let prop_varint_cursor_stop =
+  qtest "varint cursor with stop = oracle read on the prefix" ~count:500
+    QCheck2.Gen.(
+      pair
+        (string_size
+           ~gen:(oneof [ char; map Char.chr (int_range 0x80 0xff) ])
+           (int_range 0 40))
+        (int_range 0 40))
+    (fun (s, stop) ->
+      let stop = min stop (String.length s) in
+      let prefix = String.sub s 0 stop in
+      (* reads all of [s], handed [prefix] only for where to end *)
+      let bounded _ pos =
+        let c = Varint.cursor ~pos ~stop s in
+        let v = Varint.next c in
+        (v, c.Varint.pos)
+      in
+      read_all bounded prefix 0 = read_all Oracles.Varint.read prefix 0)
+
+(* ------------------------------------------------------------------ *)
+(* Framing                                                             *)
+(* ------------------------------------------------------------------ *)
+
+let test_framing_scan () =
+  let magic = "test 1\n" in
+  let b = Buffer.create 64 in
+  Buffer.add_string b magic;
+  Framing.add_record b "first";
+  Framing.add_record_sub b "xxsecondxx" ~pos:2 ~len:6;
+  let image = Buffer.contents b in
+  let views f =
+    let seen = ref [] in
+    let r =
+      Framing.scan ~magic f (fun pos len -> seen := String.sub f pos len :: !seen)
+    in
+    (r, List.rev !seen)
+  in
+  Alcotest.(check (pair (result unit string) (list string)))
+    "records" (Ok (), [ "first"; "second" ]) (views image);
+  let last = String.length image - 1 in
+  let flipped = String.mapi (fun i c -> if i = last then '\x00' else c) image in
+  Alcotest.(check (pair (result unit string) (list string)))
+    "CRC damage" (Error "CRC mismatch at byte 17", [ "first" ]) (views flipped);
+  Alcotest.(check (pair (result unit string) (list string)))
+    "truncation" (Error "truncated record at byte 17", [ "first" ])
+    (views (String.sub image 0 (String.length image - 1)));
+  Alcotest.(check (pair (result unit string) (list string)))
+    "foreign" (Error "unrecognized magic/version", []) (views "other");
+  Alcotest.(check (result unit string))
+    "decoder damage" (Error "no good at byte 7")
+    (Framing.scan ~magic image (fun _ _ -> Framing.bad "no %s" "good"))
+
+(* [unseal] against the footer checks the campaign loaders made
+   inline, on arbitrary texts and on sealed texts damaged in place *)
+let prop_unseal_oracle =
+  qtest "unseal = oracle footer checks" ~count:500
+    QCheck2.Gen.(
+      oneof
+        [ string_size ~gen:printable (int_range 0 30);
+          (let* body = string_size ~gen:printable (int_range 0 30) in
+           let* edits = list_size (int_range 0 2) Mutation.byte_edit in
+           return (List.fold_left (fun s f -> f s) (Framing.seal body) edits)) ])
+    (fun text ->
+      let body = Result.to_option (Framing.unseal text) in
+      body = Oracles.Campaign.meta_body text
+      && (match body with Some b -> (b, true) | None -> (text, false))
+         = Oracles.Campaign.manifest_body text)
+
 (* ------------------------------------------------------------------ *)
 (* Prng                                                                *)
 (* ------------------------------------------------------------------ *)
@@ -387,12 +457,16 @@ let () =
           prop_varint_roundtrip;
           prop_varint_list;
           prop_varint_write_oracle;
-          prop_varint_cursor_oracle ] );
+          prop_varint_cursor_oracle;
+          prop_varint_cursor_stop ] );
       ( "crc32",
         [ Alcotest.test_case "check vectors" `Quick test_crc32_vectors;
           Alcotest.test_case "incremental" `Quick test_crc32_incremental;
           Alcotest.test_case "LE footer" `Quick test_crc32_le_bytes;
           Alcotest.test_case "detects bit flip" `Quick test_crc32_detects_flip ] );
+      ( "framing",
+        [ Alcotest.test_case "scan views and damage" `Quick test_framing_scan;
+          prop_unseal_oracle ] );
       ( "prng",
         [ Alcotest.test_case "deterministic" `Quick test_prng_deterministic;
           Alcotest.test_case "int bounds" `Quick test_prng_bounds;
